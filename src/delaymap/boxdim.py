@@ -125,12 +125,20 @@ def partition_boxes(cloud: PointCloud, r: float) -> BoxHistogram:
     Boxes are closed on the low edge: a point exactly on the high boundary
     of a cell belongs to the next cell (so the per-axis maximum may open a
     box of its own).  Axes with zero spread collapse to lattice index 0.
+    An r so small that a lattice index would overflow int64 is rejected.
     """
     if r <= 0:
         raise ValueError(f"box edge must be positive, got {r}")
     pts = cloud.points
     anchor = pts.min(axis=0)
-    lattice = np.floor((pts - anchor) / r).astype(np.int64)
+    scaled = (pts - anchor) / r
+    cells_per_axis = scaled.max()
+    if not cells_per_axis < 2.0**63:
+        raise ValueError(
+            f"box edge {r} is too small for the cloud's spread: "
+            f"{cells_per_axis:.3g} boxes per axis overflow the int64 lattice"
+        )
+    lattice = np.floor(scaled).astype(np.int64)
     cells, counts = np.unique(lattice, axis=0, return_counts=True)
     occupied = {
         tuple(int(v) for v in cell): int(c) for cell, c in zip(cells, counts)

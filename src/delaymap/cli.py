@@ -288,8 +288,14 @@ def _cmd_entropy(args, parser):
 # ----------------------------------------------------------- dimension
 
 def _read_scaling_csv(path) -> list[tuple[float, float]]:
+    """(r, S) pairs from the first and last cells of each data row.
+
+    Only the first non-comment row may be a header; any later row that is
+    not at least two numeric cells is a load error, never silently dropped.
+    """
     stream = sys.stdin if path == "-" else open(path, encoding="utf-8")
     entries = []
+    header_allowed = True
     try:
         for raw in stream:
             line = raw.strip()
@@ -297,10 +303,14 @@ def _read_scaling_csv(path) -> list[tuple[float, float]]:
                 continue
             cells = line.split(",")
             try:
-                r, s = float(cells[0]), float(cells[-1])
+                pair = (float(cells[0]), float(cells[-1])) if len(cells) > 1 else None
             except ValueError:
-                continue  # header row
-            entries.append((r, s))
+                pair = None
+            if pair is not None:
+                entries.append(pair)
+            elif not header_allowed:
+                raise SeriesLoadError(f"bad scaling row in {path}: {line!r}")
+            header_allowed = False
     except OSError as e:
         raise SeriesLoadError(f"cannot read scaling file {path}: {e}") from e
     finally:

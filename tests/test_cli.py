@@ -183,6 +183,26 @@ def test_dimension_with_two_entries_exits_6(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["garbage,1,2", "0.0625"])
+def test_dimension_rejects_a_bad_row_after_the_header(tmp_path, capsys, bad_row):
+    scaling = tmp_path / "scaling.csv"
+    rows = "".join(f"{2.0**-k!r},{float(k)!r},{2.0 * k!r}\n" for k in range(1, 5))
+    scaling.write_text(f"# comment\nr,log2_inv_r,S_bits\n{rows}{bad_row}\n")
+    code = main(["dimension", str(scaling)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert bad_row in captured.err
+    assert captured.out == ""
+
+
+def test_entropy_box_edge_below_the_lattice_range_exits_1(tmp_path, capsys):
+    cloud = tmp_path / "segment.csv"
+    cloud.write_text("0.0\n0.5\n1.0\n")
+    code = main(["entropy", str(cloud), "--r-values", "1e-25"])
+    assert code == 1
+    assert "int64" in capsys.readouterr().err
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     code = main(["ami", str(tmp_path / "absent.csv")])
     assert code == 3

@@ -45,6 +45,15 @@ def test_partition_r_validation():
         partition_boxes(cloud([0.0], [1.0]), -2.0)
 
 
+def test_box_edge_that_overflows_the_lattice_is_rejected():
+    segment = cloud_from_points(np.linspace(0.0, 1.0, 1000)[:, None])
+    with pytest.raises(ValueError, match="int64"):
+        partition_boxes(segment, 1e-25)
+    # an edge just inside the int64 range still resolves every point
+    fine = partition_boxes(segment, 2.0**-62)
+    assert shannon_entropy(fine) == pytest.approx(math.log2(1000), abs=1e-12)
+
+
 def test_degenerate_axis_collapses_to_zero():
     h = partition_boxes(cloud([0.0, 5.0], [1.0, 5.0], [2.5, 5.0]), 1.0)
     assert all(key[1] == 0 for key in h.occupied)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.spatial
 
+import delaymap
 from delaymap import (
     DegenerateSeriesError,
     EmbeddingParams,
@@ -13,6 +19,8 @@ from delaymap import (
     delay_embed,
     embedding_dimension,
     fnn_fraction,
+    henon,
+    lorenz,
     nearest_neighbor,
     sine,
     white_noise,
@@ -64,6 +72,72 @@ def test_bulk_search_matches_scan_including_ties():
             assert idx[t] == ref_i
             if ref_i >= 0:
                 assert dist[t] == pytest.approx(ref_d, abs=0.0, rel=1e-12)
+
+
+@pytest.fixture
+def query_depths(monkeypatch):
+    """The depth k of every k-d tree query made while the test runs."""
+    depths = []
+
+    class RecordingTree(scipy.spatial.cKDTree):
+        def query(self, x, k=1, **kwargs):
+            depths.append(k)
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+    return depths
+
+
+def _embedded(ts, delay, m, n=300):
+    cloud = delay_embed(ts, EmbeddingParams(delay, m))
+    return np.ascontiguousarray(cloud.points[:n])
+
+
+@pytest.mark.parametrize(
+    "pts, w, depths_expected",
+    [
+        # a flow's band members are its nearest points: one jump to 2w+3
+        (_embedded(lorenz(330), 10, 3), 10, [3, 23]),
+        # exact repeats every P samples tie at distance 0 past the band depth
+        (_embedded(sine(310, 20), 5, 2), 5, [3, 13, 26]),
+        (_embedded(henon(319), 1, 20), 1, [3]),
+        # w = 0: the band jump is below 2k, so plain doubling
+        (_embedded(sine(305, 20), 5, 2), 0, [3, 6, 12, 24]),
+    ],
+    ids=["lorenz-w=T", "sine-repeats", "henon-m20", "sine-w0"],
+)
+def test_bulk_search_escalation_matches_scan(pts, w, depths_expected, query_depths):
+    idx, dist = _bulk_nearest(pts, w)
+    assert query_depths == depths_expected
+    for t in range(len(pts)):
+        ref_i, ref_d = nn_scan(pts, t, w)
+        assert idx[t] == ref_i
+        assert dist[t] == pytest.approx(ref_d, abs=0.0, rel=1e-12)
+
+
+def test_bulk_search_is_bit_identical_to_a_full_depth_query():
+    # the ratio verdicts read these distances, so they must not drift by an ulp
+    w = 1
+    pts = _embedded(henon(1519), 1, 20, n=1500)
+    n = len(pts)
+    d, i = scipy.spatial.cKDTree(pts).query(pts, k=n)
+    admissible = np.abs(i - np.arange(n)[:, None]) > w
+    ref_dist = np.where(admissible, d, np.inf).min(axis=1)
+    ref_idx = np.where(admissible & (d == ref_dist[:, None]), i, n).min(axis=1)
+    idx, dist = _bulk_nearest(pts, w)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    src = os.path.dirname(os.path.dirname(delaymap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, delaymap; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_line_has_no_false_neighbors():
