@@ -240,19 +240,22 @@ def information_dimension(
     )
 
 
-def default_r_ladder(value_range: float, steps: int = DEFAULT_LADDER_STEPS) -> np.ndarray:
-    """Geometric ladder of box edges from range/4 down to range/512."""
+def default_r_ladder(
+    value_range: float,
+    steps: int = DEFAULT_LADDER_STEPS,
+    coarse_div: float = DEFAULT_R_COARSE_DIV,
+    fine_div: float = DEFAULT_R_FINE_DIV,
+) -> np.ndarray:
+    """Geometric ladder of box edges from range/coarse_div down to range/fine_div."""
     if value_range <= 0:
         raise ValueError("value range must be positive")
     if steps < 2:
         raise ValueError("ladder needs at least 2 steps")
-    return np.geomspace(
-        value_range / DEFAULT_R_COARSE_DIV, value_range / DEFAULT_R_FINE_DIV, steps
-    )
+    return np.geomspace(value_range / coarse_div, value_range / fine_div, steps)
 
 
-def reference_r(value_range: float) -> float:
+def reference_r(value_range: float, div: float = REFERENCE_R_DIV) -> float:
     """The reporting resolution for the headline entropy number."""
     if value_range <= 0:
         raise ValueError("value range must be positive")
-    return value_range / REFERENCE_R_DIV
+    return value_range / div

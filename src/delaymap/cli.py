@@ -20,30 +20,27 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from dataclasses import fields
 
 import numpy as np
 
 from ._version import __version__
-from .boxdim import (
-    DEFAULT_LADDER_STEPS,
-    DEFAULT_R_COARSE_DIV,
-    DEFAULT_R_FINE_DIV,
-    EntropyScaling,
-    entropy_scaling,
-    information_dimension,
-)
+from .boxdim import EntropyScaling, default_r_ladder, entropy_scaling, information_dimension
 from .embedding import EmbeddingParams, cloud_from_points, delay_embed
 from .errors import DelayMapError, ScalingFitError, SeriesLoadError
 from .generators import DEFAULT_TRANSIENT_SKIP, GeneratorSpec, generate
-from .mutual import DEFAULT_BINS, ami_curve, first_local_minimum
-from .neighbors import FnnParams, embedding_dimension
+from .mutual import ami_curve, first_local_minimum
+from .neighbors import embedding_dimension
 from .pipeline import (
+    CONFIG_TYPES,
     STATUS_INSUFFICIENT_SCALING,
     STATUS_NO_DIMENSION,
     STATUS_OK,
     PipelineConfig,
-    coerce_config_value,
+    estimate_json,
+    fit_range,
+    fnn_params,
     parse_key_value_config,
     run_pipeline,
     write_cloud_csv,
@@ -52,7 +49,7 @@ from .pipeline import (
     write_scaling_csv,
     _fmt,
 )
-from .series import load_csv
+from .series import MISSING_POLICIES, load_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -91,10 +88,6 @@ def _summary_out(path):
             yield fh
 
 
-def _column_arg(text: str):
-    return int(text) if text.isdigit() else text
-
-
 def _axes_arg(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -102,26 +95,34 @@ def _axes_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad axes list {text!r}") from None
 
 
-def _add_series_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", help="series CSV path, or '-' for stdin")
-    p.add_argument(
-        "--column", type=_column_arg, default=0,
-        help="column index, or header name (implies a header row)",
-    )
-    p.add_argument("--skip-header", action="store_true",
-                   help="skip the first row when selecting by index")
-    p.add_argument("--missing-policy", choices=("forward_fill", "drop"),
-                   default="forward_fill")
+_SERIES_FLAGS = ("column", "skip_header", "missing_policy")
+_FLAG_EXTRAS = {
+    "column": {"help": "column index, or header name (implies a header row)"},
+    "skip_header": {"help": "skip the first row when selecting by index"},
+    "missing_policy": {"choices": MISSING_POLICIES},
+    "timestamp": {"help": "add a wall-clock stamp to the report (breaks determinism)"},
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names, defaults: bool = True) -> None:
+    """Add flag --x-y for each named PipelineConfig field x_y, typed from it.
+
+    With ``defaults`` the flag defaults to the field's default; without,
+    to None, so that an unset flag leaves the key to the config file.
+    """
+    declared = {f.name: f.default for f in fields(PipelineConfig)}
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        kwargs = {"default": declared[name] if defaults else None, **_FLAG_EXTRAS.get(name, {})}
+        if CONFIG_TYPES[name] is bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, **kwargs)
+        else:
+            p.add_argument(flag, type=CONFIG_TYPES[name], **kwargs)
 
 
 def _load_series(args):
     source = sys.stdin if args.input == "-" else args.input
-    return load_csv(
-        source,
-        column=args.column,
-        skip_header=args.skip_header,
-        missing_policy=args.missing_policy,
-    )
+    return load_csv(source, **{name: getattr(args, name) for name in _SERIES_FLAGS})
 
 
 def _emit_summary(args, payload: dict) -> None:
@@ -214,16 +215,10 @@ def _cmd_ami(args, parser):
 
 def _cmd_fnn(args, parser):
     series = _load_series(args)
-    params = FnnParams(
-        r_tol=args.r_tol,
-        theiler_window=args.theiler_window,
-        fnn_threshold=args.fnn_threshold,
-        m_max=args.m_max,
-    )
-    w = args.theiler_window if args.theiler_window is not None else args.delay
+    params = fnn_params(args)
     selection = embedding_dimension(series, args.delay, params)
     with _out(args.output) as out:
-        write_fnn_csv(out, selection.curve, args.delay, params, w)
+        write_fnn_csv(out, selection.curve, args.delay, params)
     _emit_summary(args, {
         "selected_m": selection.m_selected,
         "found": selection.found,
@@ -262,6 +257,9 @@ def _load_cloud(path):
         raise SeriesLoadError(f"bad cloud data in {path}: {e}") from e
     if pts.size == 0:
         raise SeriesLoadError(f"{path}: empty cloud")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise SeriesLoadError(f"{path}: non-finite value in data row {bad[0] + 1}")
     return cloud_from_points(pts)
 
 
@@ -276,8 +274,8 @@ def _cmd_entropy(args, parser):
         spread = float(np.ptp(cloud.points, axis=0).max())
         if spread <= 0.0:
             raise DelayMapError("cloud has zero spread on every axis; pass --r-values")
-        ladder = np.geomspace(
-            spread / args.r_coarse_div, spread / args.r_fine_div, args.ladder_steps
+        ladder = default_r_ladder(
+            spread, args.ladder_steps, args.r_coarse_div, args.r_fine_div
         )
     scaling = entropy_scaling(cloud, ladder)
     with _out(args.output) as out:
@@ -293,33 +291,36 @@ def _read_scaling_csv(path) -> list[tuple[float, float]]:
     Only the first non-comment row may be a header; any later row that is
     not at least two numeric cells is a load error, never silently dropped.
     """
-    stream = sys.stdin if path == "-" else open(path, encoding="utf-8")
     entries = []
     header_allowed = True
     try:
-        for raw in stream:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            try:
-                pair = (float(cells[0]), float(cells[-1])) if len(cells) > 1 else None
-            except ValueError:
-                pair = None
-            if pair is not None:
-                entries.append(pair)
-            elif not header_allowed:
-                raise SeriesLoadError(f"bad scaling row in {path}: {line!r}")
-            header_allowed = False
+        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as stream:
+            for raw in stream:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                cells = line.split(",")
+                try:
+                    pair = (float(cells[0]), float(cells[-1])) if len(cells) > 1 else None
+                except ValueError:
+                    pair = None
+                if pair is not None and not np.isfinite(pair).all():
+                    raise SeriesLoadError(f"non-finite scaling row in {path}: {line!r}")
+                if pair is not None:
+                    entries.append(pair)
+                elif not header_allowed:
+                    raise SeriesLoadError(f"bad scaling row in {path}: {line!r}")
+                header_allowed = False
     except OSError as e:
         raise SeriesLoadError(f"cannot read scaling file {path}: {e}") from e
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
     return entries
 
 
 def _cmd_dimension(args, parser):
+    try:
+        window = fit_range(args.fit_r_lo, args.fit_r_hi)
+    except ValueError as e:
+        parser.error(str(e))
     entries = _read_scaling_csv(args.input)
     if len(entries) < 3:
         print(
@@ -327,34 +328,13 @@ def _cmd_dimension(args, parser):
             file=sys.stderr,
         )
         return EXIT_NO_SCALING
-    scaling = EntropyScaling(tuple(entries))
-    fit_range = None
-    if (args.fit_r_lo is None) != (args.fit_r_hi is None):
-        parser.error("--fit-r-lo and --fit-r-hi must be given together")
-    if args.fit_r_lo is not None:
-        fit_range = (args.fit_r_lo, args.fit_r_hi)
-    est = information_dimension(scaling, fit_range)
-    payload = {
-        "D_I": float(est.d_i),
-        "intercept": float(est.intercept),
-        "r_squared": float(est.r_squared),
-        "fit_range": [float(v) for v in est.fit_range],
-        "points_used": int(est.points_used),
-    }
+    est = information_dimension(EntropyScaling(tuple(entries)), window)
     with _out(args.output) as out:
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        out.write(json.dumps(estimate_json(est), sort_keys=True) + "\n")
     return EXIT_OK
 
 
 # ------------------------------------------------------------ pipeline
-
-_PIPELINE_FIELDS = (
-    "input_path", "column", "skip_header", "missing_policy", "j_bins", "t_max",
-    "m_max", "r_tol", "theiler_window", "fnn_threshold", "ladder_steps",
-    "r_coarse_div", "r_fine_div", "r_ref_div", "fit_r_lo", "fit_r_hi",
-    "fixed_delay", "fixed_dimension", "output_dir", "timestamp",
-)
-
 
 def _cmd_pipeline(args, parser):
     kwargs = {}
@@ -363,14 +343,10 @@ def _cmd_pipeline(args, parser):
         kwargs["output_dir"] = env_dir
     if args.config is not None:
         kwargs.update(parse_key_value_config(args.config))
-    for name in _PIPELINE_FIELDS:
-        if name == "input_path":
-            continue
+    for name in CONFIG_TYPES:
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
-    if args.input is not None:
-        kwargs["input_path"] = args.input
     if "input_path" not in kwargs:
         parser.error("no input: give a CSV path or set input_path in the config file")
     config = PipelineConfig(**kwargs)
@@ -430,26 +406,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ami", help="mutual-information curve and delay choice")
-    _add_series_input(p)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--j-bins", type=int, default=DEFAULT_BINS)
+    p.add_argument("input", help="series CSV path, or '-' for stdin")
+    _add_config_flags(p, (*_SERIES_FLAGS, "t_max", "j_bins"))
     p.add_argument("--output", default="-", help="curve CSV ('-' = stdout)")
     p.add_argument("--summary", default=None, help="JSON summary (default stderr)")
     p.set_defaults(func=_cmd_ami)
 
     p = sub.add_parser("fnn", help="false-neighbor curve and dimension choice")
-    _add_series_input(p)
+    p.add_argument("input", help="series CSV path, or '-' for stdin")
+    _add_config_flags(p, (*_SERIES_FLAGS, "m_max", "r_tol", "theiler_window", "fnn_threshold"))
     p.add_argument("--delay", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=20)
-    p.add_argument("--r-tol", type=float, default=10.0)
-    p.add_argument("--theiler-window", type=int, default=None)
-    p.add_argument("--fnn-threshold", type=float, default=0.01)
     p.add_argument("--output", default="-")
     p.add_argument("--summary", default=None)
     p.set_defaults(func=_cmd_fnn)
 
     p = sub.add_parser("embed", help="write the delay-coordinate point cloud")
-    _add_series_input(p)
+    p.add_argument("input", help="series CSV path, or '-' for stdin")
+    _add_config_flags(p, _SERIES_FLAGS)
     p.add_argument("--delay", type=int, required=True)
     p.add_argument("--dimension", type=int, required=True)
     p.add_argument("--axes", type=_axes_arg, default=None,
@@ -461,43 +434,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="cloud CSV (embed output), or '-'")
     p.add_argument("--r-values", default=None,
                    help="explicit comma-separated box edges, coarse to fine")
-    p.add_argument("--ladder-steps", type=int, default=DEFAULT_LADDER_STEPS)
-    p.add_argument("--r-coarse-div", type=float, default=DEFAULT_R_COARSE_DIV)
-    p.add_argument("--r-fine-div", type=float, default=DEFAULT_R_FINE_DIV)
+    _add_config_flags(p, ("ladder_steps", "r_coarse_div", "r_fine_div"))
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("dimension", help="fit D_I from an entropy scaling CSV")
     p.add_argument("input", help="scaling CSV (entropy output), or '-'")
-    p.add_argument("--fit-r-lo", type=float, default=None)
-    p.add_argument("--fit-r-hi", type=float, default=None)
+    _add_config_flags(p, ("fit_r_lo", "fit_r_hi"))
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_dimension)
 
     p = sub.add_parser("pipeline", help="full run: delay, dimension, entropy, D_I")
-    p.add_argument("input", nargs="?", default=None,
+    p.add_argument("input_path", nargs="?", default=None, metavar="input",
                    help="series CSV (may instead come from --config)")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--column", type=_column_arg, default=None)
-    p.add_argument("--skip-header", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--missing-policy", choices=("forward_fill", "drop"), default=None)
-    p.add_argument("--j-bins", type=int, default=None)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--r-tol", type=float, default=None)
-    p.add_argument("--theiler-window", type=int, default=None)
-    p.add_argument("--fnn-threshold", type=float, default=None)
-    p.add_argument("--ladder-steps", type=int, default=None)
-    p.add_argument("--r-coarse-div", type=float, default=None)
-    p.add_argument("--r-fine-div", type=float, default=None)
-    p.add_argument("--r-ref-div", type=float, default=None)
-    p.add_argument("--fit-r-lo", type=float, default=None)
-    p.add_argument("--fit-r-hi", type=float, default=None)
-    p.add_argument("--fixed-delay", type=int, default=None)
-    p.add_argument("--fixed-dimension", type=int, default=None)
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--timestamp", action=argparse.BooleanOptionalAction, default=None,
-                   help="add a wall-clock stamp to the report (breaks determinism)")
+    _add_config_flags(p, [n for n in CONFIG_TYPES if n != "input_path"], defaults=False)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -62,6 +62,10 @@ class FnnParams:
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 
+    def window(self, delay: int) -> int:
+        """The Theiler window in effect at this delay: w = T when unset."""
+        return delay if self.theiler_window is None else self.theiler_window
+
 
 @dataclass(frozen=True)
 class FnnEntry:
@@ -208,7 +212,7 @@ def fnn_fraction(
     vals = series.values
     if vals.min() == vals.max():
         raise DegenerateSeriesError("constant series has no neighbor structure")
-    w = delay if params.theiler_window is None else params.theiler_window
+    w = params.window(delay)
     cloud = delay_embed(series, EmbeddingParams(delay, m))
     limit = n - m * delay
     if limit < 2:

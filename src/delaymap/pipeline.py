@@ -13,19 +13,24 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from typing import TextIO
+from typing import TextIO, get_args, get_type_hints
 
 import numpy as np
 
 from ._version import __version__
-from .boxdim import DimensionEstimate, EntropyScaling, entropy_scaling, information_dimension, partition_boxes, shannon_entropy
+from .boxdim import (
+    DEFAULT_LADDER_STEPS, DEFAULT_R_COARSE_DIV, DEFAULT_R_FINE_DIV, REFERENCE_R_DIV,
+    DimensionEstimate, EntropyScaling, default_r_ladder, entropy_scaling,
+    information_dimension, partition_boxes, reference_r, shannon_entropy,
+)
 from .embedding import EmbeddingParams, PointCloud, delay_embed
 from .errors import ScalingFitError
-from .mutual import MICurve, ami_curve, first_local_minimum
+from .mutual import DEFAULT_BINS, MICurve, ami_curve, first_local_minimum
 from .neighbors import FnnCurve, FnnParams, embedding_dimension
-from .series import TimeSeries, load_csv, stats
+from .series import MISSING_POLICIES, TimeSeries, load_csv, stats
 
 __all__ = [
     "PipelineConfig",
@@ -55,22 +60,25 @@ class PipelineConfig:
     geometrically from range/r_coarse_div down to range/r_fine_div in
     ladder_steps steps, and the headline entropy is read at
     range/r_ref_div.
+
+    Each default is the one the owning stage's module declares, and the
+    command line derives its flags, types and defaults from these fields.
     """
 
     input_path: str
     column: int | str = 0
     skip_header: bool = False
-    missing_policy: str = "forward_fill"
-    j_bins: int = 16
+    missing_policy: str = MISSING_POLICIES[0]
+    j_bins: int = DEFAULT_BINS
     t_max: int | None = None
-    m_max: int = 20
-    r_tol: float = 10.0
+    m_max: int = FnnParams.m_max
+    r_tol: float = FnnParams.r_tol
     theiler_window: int | None = None
-    fnn_threshold: float = 0.01
-    ladder_steps: int = 16
-    r_coarse_div: float = 4.0
-    r_fine_div: float = 512.0
-    r_ref_div: float = 256.0
+    fnn_threshold: float = FnnParams.fnn_threshold
+    ladder_steps: int = DEFAULT_LADDER_STEPS
+    r_coarse_div: float = DEFAULT_R_COARSE_DIV
+    r_fine_div: float = DEFAULT_R_FINE_DIV
+    r_ref_div: float = REFERENCE_R_DIV
     fit_r_lo: float | None = None
     fit_r_hi: float | None = None
     fixed_delay: int | None = None
@@ -85,8 +93,7 @@ class PipelineConfig:
             raise ValueError("need 0 < r_coarse_div < r_fine_div (coarse to fine)")
         if self.r_ref_div <= 0:
             raise ValueError("r_ref_div must be positive")
-        if (self.fit_r_lo is None) != (self.fit_r_hi is None):
-            raise ValueError("fit_r_lo and fit_r_hi must be given together")
+        fit_range(self.fit_r_lo, self.fit_r_hi)
         if self.fixed_delay is not None and self.fixed_delay < 1:
             raise ValueError("fixed_delay must be >= 1")
         if self.fixed_dimension is not None and self.fixed_dimension < 1:
@@ -112,15 +119,7 @@ class PipelineReport:
     timestamp: str | None
 
     def to_json(self) -> str:
-        est = None
-        if self.estimate is not None:
-            est = {
-                "D_I": float(self.estimate.d_i),
-                "intercept": float(self.estimate.intercept),
-                "r_squared": float(self.estimate.r_squared),
-                "fit_range": [float(v) for v in self.estimate.fit_range],
-                "points_used": int(self.estimate.points_used),
-            }
+        est = None if self.estimate is None else estimate_json(self.estimate)
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "toolkit_version": __version__,
@@ -154,6 +153,33 @@ class PipelineReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def fit_range(r_lo: float | None, r_hi: float | None) -> tuple[float, float] | None:
+    """The explicit D_I fit window, or None to let the fit choose one."""
+    if (r_lo is None) != (r_hi is None):
+        raise ValueError("fit_r_lo and fit_r_hi must be given together")
+    if r_lo is None:
+        return None
+    if not 0 < r_lo <= r_hi:
+        raise ValueError(f"need 0 < fit_r_lo <= fit_r_hi, got {r_lo} and {r_hi}")
+    return (r_lo, r_hi)
+
+
+def fnn_params(source) -> FnnParams:
+    """FnnParams from the like-named attributes of a config or parsed flags."""
+    return FnnParams(**{f.name: getattr(source, f.name) for f in fields(FnnParams)})
+
+
+def estimate_json(est: DimensionEstimate) -> dict:
+    """The D_I fit as it appears in report.json and `delaymap dimension`."""
+    return {
+        "D_I": float(est.d_i),
+        "intercept": float(est.intercept),
+        "r_squared": float(est.r_squared),
+        "fit_range": [float(v) for v in est.fit_range],
+        "points_used": int(est.points_used),
+    }
+
+
 def _jsonable(value):
     """Recursively turn numpy scalars into plain Python numbers."""
     if isinstance(value, dict):
@@ -181,10 +207,10 @@ def write_mi_csv(out: TextIO, curve: MICurve, j_bins: int, n_samples: int) -> No
         out.write(f"{lag},{_fmt(bits)}\n")
 
 
-def write_fnn_csv(out: TextIO, curve: FnnCurve, delay: int, params: FnnParams, w: int) -> None:
+def write_fnn_csv(out: TextIO, curve: FnnCurve, delay: int, params: FnnParams) -> None:
     out.write(
         f"# delaymap fnn: delay={delay} r_tol={_fmt(params.r_tol)} "
-        f"theiler_window={w} threshold={_fmt(params.fnn_threshold)}\n"
+        f"theiler_window={params.window(delay)} threshold={_fmt(params.fnn_threshold)}\n"
     )
     out.write("m,fraction,tested,skipped\n")
     for e in curve.entries:
@@ -216,22 +242,18 @@ def _write_artifact(directory: str, name: str, writer) -> str:
     return name
 
 
-class _Stage:
-    """Context manager that tags escaping exceptions with the stage name."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not hasattr(exc, "stage"):
+@contextmanager
+def _stage(name: str):
+    """Tag an exception escaping the block with the stage name."""
+    try:
+        yield
+    except BaseException as exc:
+        if not hasattr(exc, "stage"):
             try:
-                exc.stage = self.name
+                exc.stage = name
             except AttributeError:
                 pass
-        return False
+        raise
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -250,7 +272,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         else None
     )
 
-    with _Stage("load"):
+    with _stage("load"):
         series = load_csv(
             config.input_path,
             column=config.column,
@@ -264,7 +286,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         delay = config.fixed_delay
         delay_source = "fixed"
     else:
-        with _Stage("delay"):
+        with _stage("delay"):
             curve = ami_curve(series, t_max=config.t_max, bins=config.j_bins)
             selection = first_local_minimum(curve)
             delay = selection.lag
@@ -276,9 +298,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             )
         delay_source = "ami"
 
-    def report(status, dimension=None, dim_found=False, dim_source="fnn",
-               entropy_bits=None, r_ref=None, estimate=None):
-        return PipelineReport(
+    def finish(status, dimension=None, dim_source="fnn",
+               entropy_bits=None, r_ref=None, estimate=None) -> PipelineReport:
+        """Write report.json for a run that ends here, and return the report."""
+        artifacts["report"] = "report.json"
+        rep = PipelineReport(
             status=status,
             config=config,
             n_samples=len(series),
@@ -287,7 +311,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             delay_fallback_used=delay_fallback,
             delay_source=delay_source,
             selected_dimension=dimension,
-            dimension_found=dim_found,
+            dimension_found=dimension is not None,
             dimension_source=dim_source,
             entropy_bits=entropy_bits,
             r_ref=r_ref,
@@ -295,39 +319,28 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             artifacts=artifacts,
             timestamp=stamp,
         )
-
-    def finish(rep: PipelineReport) -> PipelineReport:
-        artifacts["report"] = "report.json"
-        path = os.path.join(config.output_dir, "report.json")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rep.to_json())
+        _write_artifact(config.output_dir, "report.json", lambda fh: fh.write(rep.to_json()))
         return rep
 
-    theiler = delay if config.theiler_window is None else config.theiler_window
-    fnn_params = FnnParams(
-        r_tol=config.r_tol,
-        theiler_window=theiler,
-        fnn_threshold=config.fnn_threshold,
-        m_max=config.m_max,
-    )
+    fnn = fnn_params(config)
 
     if config.fixed_dimension is not None:
         dimension = config.fixed_dimension
         dim_source = "fixed"
     else:
-        with _Stage("dimension"):
-            selection = embedding_dimension(series, delay, fnn_params)
+        with _stage("dimension"):
+            selection = embedding_dimension(series, delay, fnn)
             artifacts["fnn_curve"] = _write_artifact(
                 config.output_dir,
                 "fnn_curve.csv",
-                lambda fh: write_fnn_csv(fh, selection.curve, delay, fnn_params, theiler),
+                lambda fh: write_fnn_csv(fh, selection.curve, delay, fnn),
             )
             if not selection.found:
-                return finish(report(STATUS_NO_DIMENSION))
+                return finish(STATUS_NO_DIMENSION)
             dimension = selection.m_selected
         dim_source = "fnn"
 
-    with _Stage("embed"):
+    with _stage("embed"):
         cloud = delay_embed(series, EmbeddingParams(delay, dimension))
         axes = tuple(range(min(dimension, 3)))
         artifacts["attractor"] = _write_artifact(
@@ -336,10 +349,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             lambda fh: write_cloud_csv(fh, cloud, axes),
         )
 
-    with _Stage("entropy"):
+    with _stage("entropy"):
         vr = series_stats.value_range
-        ladder = np.geomspace(
-            vr / config.r_coarse_div, vr / config.r_fine_div, config.ladder_steps
+        ladder = default_r_ladder(
+            vr, config.ladder_steps, config.r_coarse_div, config.r_fine_div
         )
         scaling = entropy_scaling(cloud, ladder)
         artifacts["entropy_scaling"] = _write_artifact(
@@ -347,75 +360,57 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             "entropy_scaling.csv",
             lambda fh: write_scaling_csv(fh, scaling, dimension),
         )
-        r_ref = vr / config.r_ref_div
+        r_ref = reference_r(vr, config.r_ref_div)
         entropy_bits = shannon_entropy(partition_boxes(cloud, r_ref))
 
-    with _Stage("dimension_fit"):
-        fit_range = None
-        if config.fit_r_lo is not None:
-            fit_range = (config.fit_r_lo, config.fit_r_hi)
+    with _stage("dimension_fit"):
         try:
-            estimate = information_dimension(scaling, fit_range)
-        except ScalingFitError:
-            return finish(
-                report(
-                    STATUS_INSUFFICIENT_SCALING,
-                    dimension=dimension,
-                    dim_found=True,
-                    dim_source=dim_source,
-                    entropy_bits=entropy_bits,
-                    r_ref=r_ref,
-                )
+            estimate = information_dimension(
+                scaling, fit_range(config.fit_r_lo, config.fit_r_hi)
             )
+            status = STATUS_OK
+        except ScalingFitError:
+            estimate, status = None, STATUS_INSUFFICIENT_SCALING
 
-    return finish(
-        report(
-            STATUS_OK,
-            dimension=dimension,
-            dim_found=True,
-            dim_source=dim_source,
-            entropy_bits=entropy_bits,
-            r_ref=r_ref,
-            estimate=estimate,
-        )
-    )
+    return finish(status, dimension, dim_source, entropy_bits, r_ref, estimate)
 
 
-_BOOL_FIELDS = {"skip_header", "timestamp"}
-_INT_FIELDS = {
-    "j_bins", "t_max", "m_max", "theiler_window", "ladder_steps",
-    "fixed_delay", "fixed_dimension",
+def _index_or_name(text: str) -> int | str:
+    """A column: plain digits are an index, anything else a header name."""
+    return int(text) if text.isdigit() else text
+
+
+def _value_type(hint):
+    """What a config value's text is read as: X for ``X | None``; the one
+    two-type field, ``column: int | str``, reads as an index or a name."""
+    kinds = [t for t in get_args(hint) if t is not type(None)] or [hint]
+    return kinds[0] if len(kinds) == 1 else _index_or_name
+
+
+#: Each PipelineConfig field's value type, read off its annotation.
+CONFIG_TYPES = {
+    name: _value_type(hint) for name, hint in get_type_hints(PipelineConfig).items()
 }
-_FLOAT_FIELDS = {
-    "r_tol", "fnn_threshold", "r_coarse_div", "r_fine_div", "r_ref_div",
-    "fit_r_lo", "fit_r_hi",
-}
-_STR_FIELDS = {"input_path", "missing_policy", "output_dir"}
 
 
 def coerce_config_value(name: str, text: str):
     """Parse one key=value right-hand side into the config field's type.
 
-    ``column`` accepts either a nonnegative integer index or a header
-    name; plain digits mean the index.
+    ``column`` reads plain digits as an index and anything else as a
+    header name; booleans accept 1/true/yes/on and 0/false/no/off.
     """
+    if name not in CONFIG_TYPES:
+        raise ValueError(f"unknown config key {name!r}")
     text = text.strip()
-    if name == "column":
-        return int(text) if text.isdigit() else text
-    if name in _BOOL_FIELDS:
+    kind = CONFIG_TYPES[name]
+    if kind is bool:
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{name}: expected a boolean, got {text!r}")
-    if name in _INT_FIELDS:
-        return int(text)
-    if name in _FLOAT_FIELDS:
-        return float(text)
-    if name in _STR_FIELDS:
-        return text
-    raise ValueError(f"unknown config key {name!r}")
+    return kind(text)
 
 
 def parse_key_value_config(path: str) -> dict:

@@ -22,6 +22,8 @@ __all__ = ["TimeSeries", "SeriesStats", "load_csv", "series_from_text", "stats"]
 
 #: Cell contents treated as "no observation" during CSV ingestion.
 MISSING_MARKERS = ("", "NA")
+#: How missing observations are handled; the first is the default.
+MISSING_POLICIES = ("forward_fill", "drop")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +83,7 @@ def load_csv(
     source,
     column: int | str = 0,
     skip_header: bool = False,
-    missing_policy: str = "forward_fill",
+    missing_policy: str = MISSING_POLICIES[0],
     delimiter: str = ",",
     label: str | None = None,
 ) -> TimeSeries:
@@ -111,7 +113,7 @@ def load_csv(
         SeriesLoadError: unreadable file, column not found, non-numeric
             cell, or fewer than 2 values after the policy.
     """
-    if missing_policy not in ("drop", "forward_fill"):
+    if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
 
     if hasattr(source, "read"):

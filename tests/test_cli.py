@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import sys
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from delaymap import load_csv, sine, white_noise
-from delaymap.cli import main
+from delaymap.cli import build_parser, main
+from delaymap.pipeline import PipelineConfig, coerce_config_value
 
 
 def write_series(path, values):
@@ -54,6 +56,12 @@ def test_synth_roundtrips_through_the_loader(tmp_path):
         ["synth", "--kind", "white_noise", "-n", "50", "--seed", "1", "--skip", "5"],
         ["synth", "--kind", "lorenz", "-n", "50", "--initial", "1,2"],
         ["pipeline"],  # no input anywhere
+        ["dimension", "x", "--fit-r-lo", "0.5", "--fit-r-hi", "0.1"],  # reversed
+        ["dimension", "x", "--fit-r-lo", "0", "--fit-r-hi", "0.1"],  # r must be > 0
+        ["dimension", "x", "--fit-r-lo", "0.1"],  # missing --fit-r-hi
+        ["ami", "x", "--missing-policy", "bogus"],
+        ["pipeline", "x", "--missing-policy", "bogus"],
+        ["fnn", "x", "--delay", "1", "--m-max", "many"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -183,7 +191,9 @@ def test_dimension_with_two_entries_exits_6(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_row", ["garbage,1,2", "0.0625"])
+@pytest.mark.parametrize(
+    "bad_row", ["garbage,1,2", "0.0625", "0.0625,4.0,nan", "inf,4.0,8.0", "0.0625,4.0,-inf"]
+)
 def test_dimension_rejects_a_bad_row_after_the_header(tmp_path, capsys, bad_row):
     scaling = tmp_path / "scaling.csv"
     rows = "".join(f"{2.0**-k!r},{float(k)!r},{2.0 * k!r}\n" for k in range(1, 5))
@@ -203,15 +213,72 @@ def test_entropy_box_edge_below_the_lattice_range_exits_1(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
-def test_missing_input_exits_3(tmp_path, capsys):
-    code = main(["ami", str(tmp_path / "absent.csv")])
+@pytest.mark.parametrize("command", ["ami", "entropy", "dimension"])
+def test_missing_input_exits_3(tmp_path, capsys, command):
+    code = main([command, str(tmp_path / "absent.csv")])
     assert code == 3
     assert "error" in capsys.readouterr().err
 
 
-def test_entropy_missing_cloud_exits_3(tmp_path, capsys):
-    code = main(["entropy", str(tmp_path / "absent.csv")])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_entropy_rejects_a_non_finite_cloud_row(tmp_path, capsys, cell):
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(f"# delaymap embed\n0.0,0.0\n0.5,{cell}\n1.0,1.0\n")
+    code = main(["entropy", str(cloud)])
+    captured = capsys.readouterr()
     assert code == 3
+    assert "non-finite" in captured.err and "row 2" in captured.err
+    assert captured.out == ""
+
+
+# One text per PipelineConfig field; a field added without one fails below.
+_FLAG_SAMPLES = {
+    "input_path": "runs/in.csv", "column": "close", "skip_header": "yes",
+    "missing_policy": "drop", "j_bins": "8", "t_max": "40", "m_max": "12",
+    "r_tol": "7.5", "theiler_window": "3", "fnn_threshold": "0.05",
+    "ladder_steps": "12", "r_coarse_div": "2", "r_fine_div": "1024",
+    "r_ref_div": "128", "fit_r_lo": "0.01", "fit_r_hi": "0.2", "fixed_delay": "4",
+    "fixed_dimension": "3", "output_dir": "runs/a", "timestamp": "off",
+}
+
+
+@pytest.mark.parametrize(
+    "field", dataclasses.fields(PipelineConfig), ids=lambda f: f.name
+)
+def test_pipeline_flag_parses_like_the_config_key(field):
+    text = _FLAG_SAMPLES[field.name]
+    want = coerce_config_value(field.name, text)
+    if field.name == "input_path":
+        argv = [text]
+    elif isinstance(want, bool):
+        flag = field.name.replace("_", "-")
+        argv = ["x", f"--{flag}" if want else f"--no-{flag}"]
+    else:
+        argv = ["x", "--" + field.name.replace("_", "-"), text]
+    got = getattr(build_parser().parse_args(["pipeline", *argv]), field.name)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["ami", "x"], ["column", "skip_header", "missing_policy", "t_max", "j_bins"]),
+        (["fnn", "x", "--delay", "1"], ["m_max", "r_tol", "theiler_window", "fnn_threshold"]),
+        (["embed", "x", "--delay", "1", "--dimension", "2"], ["column", "missing_policy"]),
+        (["entropy", "x"], ["ladder_steps", "r_coarse_div", "r_fine_div"]),
+        (["dimension", "x"], ["fit_r_lo", "fit_r_hi"]),
+    ],
+)
+def test_stage_flag_defaults_are_the_config_defaults(argv, names):
+    args = build_parser().parse_args(argv)
+    config = PipelineConfig(input_path="x")
+    for name in names:
+        assert getattr(args, name) == getattr(config, name), name
+
+
+def test_unset_pipeline_flags_leave_the_config_to_decide():
+    args = build_parser().parse_args(["pipeline"])
+    assert all(getattr(args, f.name) is None for f in dataclasses.fields(PipelineConfig))
 
 
 def test_pipeline_cli_end_to_end(tmp_path, capsys):

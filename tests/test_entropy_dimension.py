@@ -223,3 +223,5 @@ def test_default_ladder_and_reference():
         default_r_ladder(0.0)
     with pytest.raises(ValueError):
         reference_r(-1.0)
+    assert np.array_equal(default_r_ladder(4.0, 3, 2.0, 8.0), np.geomspace(2.0, 0.5, 3))
+    assert reference_r(4.0, 128.0) == 4.0 / 128

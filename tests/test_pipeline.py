@@ -195,6 +195,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(input_path="x", fit_r_lo=0.1)  # missing fit_r_hi
     with pytest.raises(ValueError):
+        PipelineConfig(input_path="x", fit_r_lo=0.5, fit_r_hi=0.1)  # reversed
+    with pytest.raises(ValueError):
+        PipelineConfig(input_path="x", fit_r_lo=0.0, fit_r_hi=0.1)  # r must be > 0
+    with pytest.raises(ValueError):
         PipelineConfig(input_path="x", fixed_delay=0)
     with pytest.raises(ValueError):
         PipelineConfig(input_path="x", fixed_dimension=0)
