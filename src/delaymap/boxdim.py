@@ -11,7 +11,7 @@ scaling region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,31 +35,46 @@ DEFAULT_LADDER_STEPS = 16
 DEFAULT_R_COARSE_DIV = 4.0
 DEFAULT_R_FINE_DIV = 512.0
 REFERENCE_R_DIV = 256.0
+#: cell keys stay below this, so they fit int64
+_KEY_SPACE = 2**63
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxHistogram:
     """Occupancy counts of the r-box partition of one cloud.
 
-    occupied maps integer lattice coordinates (one per axis) to point
-    counts; boxes that caught no point are never stored, so every stored
-    count is >= 1.
+    counts holds one int64 point count per occupied cell, in the
+    lexicographic order of the cells' integer lattice coordinates (one
+    per axis); boxes that caught no point are never stored, so every
+    count is >= 1.  lattice, when kept, is the (N, m) int64 array of
+    each point's cell; it only serves ``occupied``.
     """
 
     r: float
-    occupied: dict[tuple[int, ...], int]
+    counts: np.ndarray
     total: int
     anchor: tuple[float, ...]
+    lattice: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if sum(self.occupied.values()) != self.total:
+        if int(self.counts.sum()) != self.total:
             raise ValueError("box counts do not add up to the cloud size")
-        if any(c < 1 for c in self.occupied.values()):
+        if not np.all(self.counts >= 1):
             raise ValueError("empty boxes must not be stored")
 
+    @property
+    def occupied(self) -> dict[tuple[int, ...], int]:
+        """Lattice coordinates -> point count of every occupied cell."""
+        if self.lattice is None:
+            raise ValueError("histogram was built without its lattice")
+        order = np.argsort(_cell_keys(self.lattice))
+        rows = self.lattice[order]
+        first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+        cells = map(tuple, rows[first].tolist())
+        return dict(zip(cells, self.counts.tolist(), strict=True))
+
     def probabilities(self) -> np.ndarray:
-        counts = np.fromiter(self.occupied.values(), dtype=np.float64, count=len(self.occupied))
-        return counts / self.total
+        return self.counts / self.total
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,11 @@ def partition_boxes(cloud: PointCloud, r: float) -> BoxHistogram:
     of a cell belongs to the next cell (so the per-axis maximum may open a
     box of its own).  Axes with zero spread collapse to lattice index 0.
     An r so small that a lattice index would overflow int64 is rejected.
+
+    Each point's lattice row is folded into one order-preserving int64
+    key and the keys are sorted once; the run lengths are the counts, in
+    lexicographic cell order (Liebovitch & Toth, Phys. Lett. A 141, 386,
+    1989).  The histogram keeps the lattice for ``occupied``.
     """
     if r <= 0:
         raise ValueError(f"box edge must be positive, got {r}")
@@ -139,16 +159,42 @@ def partition_boxes(cloud: PointCloud, r: float) -> BoxHistogram:
             f"{cells_per_axis:.3g} boxes per axis overflow the int64 lattice"
         )
     lattice = np.floor(scaled).astype(np.int64)
-    cells, counts = np.unique(lattice, axis=0, return_counts=True)
-    occupied = {
-        tuple(int(v) for v in cell): int(c) for cell, c in zip(cells, counts)
-    }
+    _, counts = np.unique(_cell_keys(lattice), return_counts=True)
     return BoxHistogram(
         r=float(r),
-        occupied=occupied,
+        counts=counts,
         total=len(pts),
         anchor=tuple(float(a) for a in anchor),
+        lattice=lattice,
     )
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense, order-preserving ranks of values, and how many there are."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, len(distinct)
+
+
+def _cell_keys(lattice: np.ndarray) -> np.ndarray:
+    """One int64 key per lattice row, ordered as the rows are
+    lexicographically.
+
+    Axes fold in one at a time in mixed radix, the extent of each being
+    its maximum + 1 (the lattice starts at 0).  Where the key space would
+    reach 2**63, the partial key, and then if need be the incoming axis,
+    is first replaced by its dense ranks: order is kept and each factor
+    drops to at most the row count.
+    """
+    keys, space = lattice[:, 0], int(lattice[:, 0].max()) + 1
+    for axis in lattice.T[1:]:
+        extent = int(axis.max()) + 1
+        if space * extent >= _KEY_SPACE:
+            keys, space = _ranks(keys)
+        if space * extent >= _KEY_SPACE:
+            axis, extent = _ranks(axis)
+        keys = np.ravel_multi_index((keys, axis), (space, extent))
+        space *= extent
+    return keys
 
 
 def shannon_entropy(hist: BoxHistogram) -> float:

@@ -94,6 +94,12 @@ class PipelineConfig:
         if self.r_ref_div <= 0:
             raise ValueError("r_ref_div must be positive")
         fit_range(self.fit_r_lo, self.fit_r_hi)
+        fnn_params(self)  # FnnParams checks the FNN keys
+        if self.missing_policy not in MISSING_POLICIES:
+            raise ValueError(
+                f"missing_policy must be one of {', '.join(MISSING_POLICIES)}, "
+                f"got {self.missing_policy!r}"
+            )
         if self.fixed_delay is not None and self.fixed_delay < 1:
             raise ValueError("fixed_delay must be >= 1")
         if self.fixed_dimension is not None and self.fixed_dimension < 1:
@@ -217,6 +223,10 @@ def write_fnn_csv(out: TextIO, curve: FnnCurve, delay: int, params: FnnParams) -
         out.write(f"{e.m},{_fmt(e.fraction)},{e.tested_points},{e.skipped_points}\n")
 
 
+#: attractor rows formatted per write, which bounds the text held at once
+_ROWS_PER_WRITE = 4096
+
+
 def write_cloud_csv(out: TextIO, cloud: PointCloud, axes: tuple[int, ...]) -> None:
     p = cloud.params
     out.write(
@@ -224,8 +234,10 @@ def write_cloud_csv(out: TextIO, cloud: PointCloud, axes: tuple[int, ...]) -> No
         f"count={len(cloud)} axes={','.join(str(a) for a in axes)}\n"
     )
     block = cloud.points[:, list(axes)]
-    for row in block:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    # repr of a Python float is _fmt's shortest round-trip form
+    for start in range(0, len(block), _ROWS_PER_WRITE):
+        rows = block[start : start + _ROWS_PER_WRITE].tolist()
+        out.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def write_scaling_csv(out: TextIO, scaling: EntropyScaling, dimension: int) -> None:

@@ -22,8 +22,10 @@ __all__ = ["TimeSeries", "SeriesStats", "load_csv", "series_from_text", "stats"]
 
 #: Cell contents treated as "no observation" during CSV ingestion.
 MISSING_MARKERS = ("", "NA")
+FORWARD_FILL = "forward_fill"
+DROP = "drop"
 #: How missing observations are handled; the first is the default.
-MISSING_POLICIES = ("forward_fill", "drop")
+MISSING_POLICIES = (FORWARD_FILL, DROP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +199,7 @@ def _apply_missing_policy(raw, policy):
     for v in raw[start:]:
         if v is not None:
             values.append(v)
-        elif policy == "forward_fill":
+        elif policy == FORWARD_FILL:
             values.append(values[-1])
         # drop: skip
     return values

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from delaymap import load_csv, sine, white_noise
+from delaymap import henon, load_csv, sine, white_noise
 from delaymap.cli import build_parser, main
 from delaymap.pipeline import PipelineConfig, coerce_config_value
 
@@ -307,6 +307,21 @@ def test_pipeline_cli_exit_codes(tmp_path):
         ["pipeline", ramp, "--output-dir", out, "--fixed-delay", "2",
          "--fixed-dimension", "2", "--ladder-steps", "2"]
     ) == 6
+
+
+def test_pipeline_rejects_a_bad_config_before_any_stage(tmp_path, capsys):
+    path = write_series(tmp_path / "henon.csv", henon(500).values)
+    out = tmp_path / "o"
+    assert main(["pipeline", path, "--output-dir", str(out), "--r-tol", "-1"]) == 1
+    assert "r_tol" in capsys.readouterr().err
+    assert not (out / "mi_curve.csv").exists()
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output_dir = {out}\nmissing_policy = bogus\n")
+    assert main(["pipeline", path, "--config", str(cfg)]) == 1
+    assert "missing_policy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_config_file_and_flag_precedence(tmp_path, capsys):

@@ -3,25 +3,42 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaymap import (
     BoxHistogram,
     DimensionEstimate,
+    EmbeddingParams,
     EntropyScaling,
     ScalingFitError,
     cloud_from_points,
     default_r_ladder,
+    delay_embed,
     entropy_scaling,
     information_dimension,
+    lorenz,
     partition_boxes,
     reference_r,
     shannon_entropy,
+    stats,
 )
 from oracles import box_scan
 
 
 def cloud(*pts):
     return cloud_from_points(np.array(pts, dtype=np.float64))
+
+
+def row_sort_counts(pts, r):
+    """Box counts by sorting whole lattice rows, in lexicographic cell order."""
+    lattice = np.floor((pts - pts.min(axis=0)) / r).astype(np.int64)
+    return np.unique(lattice, axis=0, return_counts=True)[1]
+
+
+def entropy_of(counts):
+    p = counts / counts.sum()
+    return float(-(p * np.log2(p)).sum()) + 0.0
 
 
 def test_partition_examples():
@@ -103,6 +120,64 @@ def test_box_scan_oracle_equivalence():
         r = float(rng.uniform(0.01, 5.0))
         h = partition_boxes(cloud_from_points(pts), r)
         assert h.occupied == box_scan(pts, r)
+
+
+@settings(max_examples=150)
+@given(
+    m=st.integers(1, 6),
+    r=st.sampled_from([0.25, 0.5, 1.0, 0.3, 1.7]),
+    flat_axes=st.sets(st.integers(0, 5)),
+    rows=st.lists(
+        st.lists(
+            # whole numbers times a power-of-two r sit exactly on cell edges
+            st.one_of(st.integers(-6, 6).map(float), st.floats(-6.0, 6.0)),
+            min_size=6,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_keyed_partition_matches_the_oracles(m, r, flat_axes, rows):
+    pts = np.array(rows)[:, :m] * r
+    for axis in flat_axes:
+        if axis < m:
+            pts[:, axis] = 2.5  # zero spread
+    h = partition_boxes(cloud_from_points(pts), r)
+    assert h.occupied == box_scan(pts, r)
+    recount = row_sort_counts(pts, r)
+    assert np.array_equal(h.counts, recount)
+    assert shannon_entropy(h) == entropy_of(recount)
+
+
+def test_key_space_past_int64_is_reranked():
+    rng = np.random.default_rng(31)
+    for m, r in ((3, 2.0**-22), (2, 2.0**-62)):
+        base = rng.uniform(0.0, 1.0, size=(80, m))
+        base[0], base[1] = 0.0, 1.0  # unit spread on every axis
+        # repeated points give cells of unequal counts, so their order shows
+        pts = np.repeat(base, rng.integers(1, 5, size=80), axis=0)
+        extents = [
+            math.floor((hi - lo) / r) + 1
+            for lo, hi in zip(pts.min(axis=0), pts.max(axis=0))
+        ]
+        # every axis fits int64, their product does not
+        assert max(extents) < 2**63 <= math.prod(extents)
+        h = partition_boxes(cloud_from_points(pts), r)
+        assert h.occupied == box_scan(pts, r)
+        recount = row_sort_counts(pts, r)
+        assert np.array_equal(h.counts, recount)
+        assert shannon_entropy(h) == entropy_of(recount)
+
+
+def test_lorenz_entropies_equal_the_row_sort_recount():
+    series = lorenz(5000)
+    pts = delay_embed(series, EmbeddingParams(17, 3))
+    vr = stats(series).value_range
+    rs = [*default_r_ladder(vr), reference_r(vr)]
+    keyed = [shannon_entropy(partition_boxes(pts, r)) for r in rs]
+    assert keyed == [entropy_of(row_sort_counts(pts.points, r)) for r in rs]
+    assert [s for _, s in entropy_scaling(pts, rs[:-1]).entries] == keyed[:-1]
 
 
 def test_single_point_scaling_is_flat_zero():
@@ -207,9 +282,9 @@ def test_estimate_validation():
 
 def test_box_histogram_validation():
     with pytest.raises(ValueError):
-        BoxHistogram(0.5, {(0,): 2}, 3, (0.0,))
+        BoxHistogram(0.5, np.array([2]), 3, (0.0,))  # counts miss a point
     with pytest.raises(ValueError):
-        BoxHistogram(0.5, {(0,): 0}, 0, (0.0,))
+        BoxHistogram(0.5, np.array([0]), 0, (0.0,))  # an empty box is stored
 
 
 def test_default_ladder_and_reference():

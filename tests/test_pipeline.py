@@ -202,6 +202,11 @@ def test_config_validation():
         PipelineConfig(input_path="x", fixed_delay=0)
     with pytest.raises(ValueError):
         PipelineConfig(input_path="x", fixed_dimension=0)
+    # the FNN keys and the missing-value policy are checked up front too
+    for bad in ({"r_tol": -1.0}, {"m_max": 0}, {"theiler_window": -1},
+                {"fnn_threshold": 1.5}, {"missing_policy": "bogus"}):
+        with pytest.raises(ValueError):
+            PipelineConfig(input_path="x", **bad)
 
 
 def test_coerce_config_value_types():
