@@ -64,7 +64,6 @@ from .neighbors import (
     FnnParams,
     embedding_dimension,
     fnn_fraction,
-    nearest_neighbor,
 )
 from .pipeline import (
     PipelineConfig,
@@ -86,7 +85,7 @@ __all__ = [
     "EmbeddingParams", "PointCloud", "delay_embed", "cloud_from_points", "project",
     # dimension via false neighbors
     "FnnParams", "FnnEntry", "FnnCurve", "DimensionSelection",
-    "nearest_neighbor", "fnn_fraction", "embedding_dimension",
+    "fnn_fraction", "embedding_dimension",
     # entropy and information dimension
     "BoxHistogram", "EntropyScaling", "DimensionEstimate", "partition_boxes",
     "shannon_entropy", "entropy_scaling", "information_dimension",

@@ -46,8 +46,8 @@ from .pipeline import (
     write_cloud_csv,
     write_fnn_csv,
     write_mi_csv,
+    write_rows,
     write_scaling_csv,
-    _fmt,
 )
 from .series import MISSING_POLICIES, load_csv
 
@@ -183,8 +183,7 @@ def _cmd_synth(args, parser):
         if described:
             header += " " + described
         out.write(header + "\n")
-        for v in series.values:
-            out.write(_fmt(v) + "\n")
+        write_rows(out, series.values)
     return EXIT_OK
 
 

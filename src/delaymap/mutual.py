@@ -149,15 +149,25 @@ def joint_histogram(series: TimeSeries, lag: int, bins: int = DEFAULT_BINS) -> J
         JointHistogram with total == N - lag.
     """
     n = len(series)
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
     if not 1 <= lag <= n - 2:
         raise ValueError(f"lag {lag} outside [1, {n - 2}] for series of length {n}")
+    idx, axis_range = _binned(series, bins)
+    return _lagged_histogram(idx, lag, bins, axis_range)
+
+
+def _binned(series: TimeSeries, bins: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """(bin index of every sample, (lo, hi)) on the equal-width grid."""
+    if bins < 2:
+        raise ValueError(f"need at least 2 bins, got {bins}")
     lo, hi, width = _bin_edges_width(series, bins)
-    ia = _bin_indices(series.values[:-lag], lo, width, bins)
-    ib = _bin_indices(series.values[lag:], lo, width, bins)
-    counts = np.bincount(ia * bins + ib, minlength=bins * bins).reshape(bins, bins)
-    return JointHistogram(bins, counts, n - lag, (lo, hi))
+    return _bin_indices(series.values, lo, width, bins), (lo, hi)
+
+
+def _lagged_histogram(idx: np.ndarray, lag: int, bins: int, axis_range) -> JointHistogram:
+    # bin indices are per sample, so binning the whole series once serves
+    # every lag
+    counts = np.bincount(idx[:-lag] * bins + idx[lag:], minlength=bins * bins)
+    return JointHistogram(bins, counts.reshape(bins, bins), len(idx) - lag, axis_range)
 
 
 def histogram_mutual_information(hist: JointHistogram) -> float:
@@ -207,16 +217,21 @@ def default_max_lag(n: int) -> int:
 def ami_curve(series: TimeSeries, t_max: int | None = None, bins: int = DEFAULT_BINS) -> MICurve:
     """Evaluate I(T) for T = 1..t_max.
 
-    Lags are evaluated independently (the curve is bit-identical however
-    the loop is scheduled).  ``t_max`` defaults to min(N/10, 100).
+    The series is binned once; each lag then counts its pairs with one
+    ``bincount``, so every entry equals ``mutual_information(series, T,
+    bins)`` bit for bit.  ``t_max`` defaults to min(N/10, 100).
     """
     n = len(series)
     if t_max is None:
         t_max = default_max_lag(n)
     if not 1 <= t_max <= n - 2:
         raise ValueError(f"t_max {t_max} outside [1, {n - 2}]")
+    idx, axis_range = _binned(series, bins)
     lags = np.arange(1, t_max + 1, dtype=np.int64)
-    bits = np.array([mutual_information(series, int(t), bins) for t in lags])
+    bits = np.array([
+        histogram_mutual_information(_lagged_histogram(idx, int(t), bins, axis_range))
+        for t in lags
+    ])
     return MICurve(lags, bits)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingParams, PointCloud, delay_embed
+from .embedding import EmbeddingParams, delay_embed
 from .errors import DegenerateSeriesError, NoAdmissibleNeighborError
 from .series import TimeSeries
 
@@ -33,7 +33,6 @@ __all__ = [
     "FnnEntry",
     "FnnCurve",
     "DimensionSelection",
-    "nearest_neighbor",
     "fnn_fraction",
     "embedding_dimension",
 ]
@@ -115,29 +114,6 @@ class DimensionSelection:
     m_selected: int | None
     curve: FnnCurve
     found: bool
-
-
-def nearest_neighbor(cloud: PointCloud, t: int, w: int) -> int:
-    """Index of the exact nearest neighbor of point t outside the band.
-
-    Brute-force reference scan: admissible candidates are all i with
-    |i - t| > w; ties in distance resolve to the smaller index.
-    """
-    pts = cloud.points
-    n = len(pts)
-    if not 0 <= t < n:
-        raise ValueError(f"point index {t} out of range")
-    if w < 0:
-        raise ValueError("theiler window must be >= 0")
-    diffs = pts - pts[t]
-    dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    dist[max(0, t - w) : t + w + 1] = np.inf
-    best = int(np.argmin(dist))  # first occurrence == smallest index on ties
-    if not np.isfinite(dist[best]):
-        raise NoAdmissibleNeighborError(
-            f"no admissible neighbor for t={t} with w={w} in a {n}-point cloud"
-        )
-    return best
 
 
 def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:

@@ -223,8 +223,34 @@ def write_fnn_csv(out: TextIO, curve: FnnCurve, delay: int, params: FnnParams) -
         out.write(f"{e.m},{_fmt(e.fraction)},{e.tested_points},{e.skipped_points}\n")
 
 
-#: attractor rows formatted per write, which bounds the text held at once
+def repr_cells(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every float in ``values``, as an object array of the
+    same shape: _fmt's shortest round-trip form.
+
+    ``repr`` runs once per distinct bit pattern (a delay cloud repeats
+    each sample in every coordinate); keying on the int64 view keeps -0.0
+    apart from 0.0.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].reshape(np.shape(values))
+
+
+#: rows formatted per write, which bounds the text held at once
 _ROWS_PER_WRITE = 4096
+
+
+def write_rows(out: TextIO, block: np.ndarray) -> None:
+    """One CSV line per row of a float array (a 1-D array is one column),
+    cells in repr form, one write per slab of rows."""
+    for start in range(0, len(block), _ROWS_PER_WRITE):
+        cells = repr_cells(block[start : start + _ROWS_PER_WRITE])
+        # rows are joined from one list per column: a list per row would
+        # be a container the garbage collector tracks, and enough of them
+        # set off full collections
+        lines = cells.tolist() if cells.ndim == 1 else map(",".join, zip(*cells.T.tolist()))
+        out.write("\n".join(lines) + "\n")
 
 
 def write_cloud_csv(out: TextIO, cloud: PointCloud, axes: tuple[int, ...]) -> None:
@@ -233,11 +259,7 @@ def write_cloud_csv(out: TextIO, cloud: PointCloud, axes: tuple[int, ...]) -> No
         f"# delaymap embed: delay={p.delay} dimension={p.dimension} "
         f"count={len(cloud)} axes={','.join(str(a) for a in axes)}\n"
     )
-    block = cloud.points[:, list(axes)]
-    # repr of a Python float is _fmt's shortest round-trip form
-    for start in range(0, len(block), _ROWS_PER_WRITE):
-        rows = block[start : start + _ROWS_PER_WRITE].tolist()
-        out.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+    write_rows(out, cloud.points[:, list(axes)])
 
 
 def write_scaling_csv(out: TextIO, scaling: EntropyScaling, dimension: int) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -102,6 +103,12 @@ def load_csv(
 
     Leading missing values are always dropped.
 
+    Unquoted text is split into cells with ``str.split`` and the column
+    is parsed by one ``np.array(cells, dtype=float)``, whose string
+    parser follows ``float()``.  Text with quotes, or a column that
+    fails to parse, goes through a ``csv.reader`` row scan instead, which
+    names the offending line.
+
     Args:
         source: path, or an open text stream.
         column: zero-based index or header name.  Naming a column implies
@@ -118,39 +125,28 @@ def load_csv(
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
 
-    if hasattr(source, "read"):
+    # the lines as csv.reader would iterate them
+    stream = hasattr(source, "read")
+    if stream:
         name = getattr(source, "name", "<stream>")
-        rows = _read_rows(source, delimiter)
+        lines = list(source)
     else:
         name = os.fspath(source)
         try:
             with open(name, "r", newline="", encoding="utf-8") as fh:
-                rows = _read_rows(fh, delimiter)
+                lines = list(fh)
         except OSError as exc:
             raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
 
-    if not rows:
-        raise SeriesLoadError(f"{name}: no data rows")
-
-    col_idx, rows = _resolve_column(rows, column, skip_header, name)
-
-    raw: list[float | None] = []
-    for lineno, row in rows:
-        if col_idx >= len(row):
-            raise SeriesLoadError(f"{name}:{lineno}: row has no column {col_idx}")
-        cell = row[col_idx].strip()
-        if cell in MISSING_MARKERS:
-            raw.append(None)
-            continue
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise SeriesLoadError(f"{name}:{lineno}: non-numeric cell {cell!r}") from exc
-        if not math.isfinite(value):
-            raise SeriesLoadError(f"{name}:{lineno}: non-finite value {cell!r}")
-        raw.append(value)
-
-    values = _apply_missing_policy(raw, missing_policy)
+    parsed = None
+    text = "".join(lines)
+    if _plain_text(text, lines, delimiter, stream):
+        cells = _split_cells(lines, column, skip_header, delimiter, name)
+        if cells is not None:
+            parsed = _parse_cells(cells)
+    if parsed is None:  # the row scan names the line of a bad cell or row
+        parsed = _parse_cells(_scan_cells(lines, column, skip_header, delimiter, name))
+    values = _apply_missing_policy(*parsed, missing_policy)
     if len(values) < 2:
         raise SeriesLoadError(
             f"{name}: fewer than 2 values after {missing_policy} policy"
@@ -158,50 +154,118 @@ def load_csv(
     if label is None:
         stem = os.path.splitext(os.path.basename(name))[0]
         label = f"{stem}:{column}"
-    return TimeSeries(np.array(values), label=label)
+    return TimeSeries(values, label=label)
 
 
-def _read_rows(stream, delimiter):
+def _plain_text(text, lines, delimiter, stream):
+    r"""Whether csv.reader's rows are the lines split on the delimiter.
+
+    A newline="" file ends its lines at \n, \r\n or \r, where csv.reader
+    ends its records.  A stream may split at \n only, so one holding a
+    \r goes to the row scan; so does text with quotes, a line longer than
+    csv's field limit, or a delimiter that is not one plain character.
+    """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
+        return False
+    if '"' in text or (stream and "\r" in text):
+        return False
+    limit = csv.field_size_limit()
+    return len(text) <= limit or max(map(len, lines)) <= limit
+
+
+def _split_cells(lines, column, skip_header, delimiter, name):
+    """The stripped cells of the selected column, or None where there is
+    no data row or a row lacks the column (the row scan reports it)."""
+    # rows are split, filtered and reduced to one cell on the fly, so no
+    # list of rows is ever held
+    rows = filter(_is_data_row, map(str.split, lines, itertools.repeat(delimiter)))
+    first = next(rows, None)
+    if first is None:
+        return None
+    col_idx, header_rows = _resolve_column(first, column, skip_header, name)
+    try:
+        return [row[col_idx].strip() for row in itertools.chain([first][header_rows:], rows)]
+    except IndexError:
+        return None
+
+
+def _scan_cells(lines, column, skip_header, delimiter, name):
+    """Row scan through csv.reader: the stripped cells of the selected
+    column, each checked, so that an error names its line."""
+    rows = _read_rows(lines, delimiter)
+    if not rows:
+        raise SeriesLoadError(f"{name}: no data rows")
+    col_idx, header_rows = _resolve_column(rows[0][1], column, skip_header, name)
+    cells = []
+    for lineno, row in rows[header_rows:]:
+        if col_idx >= len(row):
+            raise SeriesLoadError(f"{name}:{lineno}: row has no column {col_idx}")
+        cell = row[col_idx].strip()
+        if cell not in MISSING_MARKERS:
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise SeriesLoadError(f"{name}:{lineno}: non-numeric cell {cell!r}") from exc
+            if not math.isfinite(value):
+                raise SeriesLoadError(f"{name}:{lineno}: non-finite value {cell!r}")
+        cells.append(cell)
+    return cells
+
+
+def _read_rows(lines, delimiter):
     """Return [(lineno, row), ...] skipping blank and '#'-comment lines."""
     out = []
-    reader = csv.reader(stream, delimiter=delimiter)
+    reader = csv.reader(lines, delimiter=delimiter)
     for lineno, row in enumerate(reader, start=1):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        out.append((lineno, row))
+        if row and _is_data_row(row):
+            out.append((lineno, row))
     return out
 
 
-def _resolve_column(rows, column, skip_header, name):
+def _is_data_row(row):
+    """Whether a row has a nonblank cell and is not a '#' comment."""
+    # a nonblank first cell settles both, so most rows strip one cell only
+    first = row[0].strip()
+    return first[:1] != "#" if first else any(map(str.strip, row))
+
+
+def _resolve_column(first_row, column, skip_header, name):
+    """(column index, header rows to skip) from the first data row."""
     if isinstance(column, str):
-        header = [c.strip() for c in rows[0][1]]
+        header = [c.strip() for c in first_row]
         try:
             idx = header.index(column)
         except ValueError:
             raise SeriesLoadError(
                 f"{name}: column {column!r} not found in header {header}"
             ) from None
-        return idx, rows[1:]
+        return idx, 1
     idx = int(column)
     if idx < 0:
         raise ValueError("column index must be nonnegative")
-    return idx, rows[1:] if skip_header else rows
+    return idx, 1 if skip_header else 0
 
 
-def _apply_missing_policy(raw, policy):
-    # leading missing values are dropped under either policy
-    start = 0
-    while start < len(raw) and raw[start] is None:
-        start += 1
-    values: list[float] = []
-    for v in raw[start:]:
-        if v is not None:
-            values.append(v)
-        elif policy == FORWARD_FILL:
-            values.append(values[-1])
-        # drop: skip
+def _parse_cells(cells):
+    """(values of the present cells, missing mask) in one numpy parse, or
+    None if a present cell is not a finite number."""
+    missing = np.array([c in MISSING_MARKERS for c in cells], dtype=bool)
+    present = [c for c in cells if c not in MISSING_MARKERS] if missing.any() else cells
+    try:
+        values = np.array(present, dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values, missing
+
+
+def _apply_missing_policy(values, missing, policy):
+    # leading missing values are dropped under either policy; drop keeps
+    # just the present values, forward_fill repeats the last one
+    if policy == FORWARD_FILL:
+        last = np.cumsum(~missing) - 1
+        return values[last[last >= 0]]
     return values
 
 

@@ -7,7 +7,11 @@ the library, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import csv
 import math
+import os
+
+from delaymap.errors import SeriesLoadError
 
 
 def mi_recount(values, lag: int, bins: int) -> float:
@@ -145,3 +149,92 @@ def gaussian_draws(seed: int, n: int) -> list[float]:
         out.append(rad * math.cos(2.0 * math.pi * u2))
         out.append(rad * math.sin(2.0 * math.pi * u2))
     return out[:n]
+
+
+def load_csv_rows(
+    source,
+    column=0,
+    skip_header=False,
+    missing_policy="forward_fill",
+    delimiter=",",
+    label=None,
+):
+    """The series loader as a csv.reader row scan: (values, label).
+
+    One row at a time through csv.reader and float(), with missing cells
+    held as None until the policy runs; the same errors, messages
+    included, as delaymap.load_csv.
+    """
+    if missing_policy not in ("forward_fill", "drop"):
+        raise ValueError(f"unknown missing_policy {missing_policy!r}")
+
+    def read_rows(stream):
+        out = []
+        for lineno, row in enumerate(csv.reader(stream, delimiter=delimiter), start=1):
+            if not row or all(c.strip() == "" for c in row):
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            out.append((lineno, row))
+        return out
+
+    if hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
+        rows = read_rows(source)
+    else:
+        name = os.fspath(source)
+        try:
+            with open(name, "r", newline="", encoding="utf-8") as fh:
+                rows = read_rows(fh)
+        except OSError as exc:
+            raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
+    if not rows:
+        raise SeriesLoadError(f"{name}: no data rows")
+
+    if isinstance(column, str):
+        header = [c.strip() for c in rows[0][1]]
+        try:
+            col_idx = header.index(column)
+        except ValueError:
+            raise SeriesLoadError(
+                f"{name}: column {column!r} not found in header {header}"
+            ) from None
+        rows = rows[1:]
+    else:
+        col_idx = int(column)
+        if col_idx < 0:
+            raise ValueError("column index must be nonnegative")
+        if skip_header:
+            rows = rows[1:]
+
+    raw = []
+    for lineno, row in rows:
+        if col_idx >= len(row):
+            raise SeriesLoadError(f"{name}:{lineno}: row has no column {col_idx}")
+        cell = row[col_idx].strip()
+        if cell in ("", "NA"):
+            raw.append(None)
+            continue
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise SeriesLoadError(f"{name}:{lineno}: non-numeric cell {cell!r}") from exc
+        if not math.isfinite(value):
+            raise SeriesLoadError(f"{name}:{lineno}: non-finite value {cell!r}")
+        raw.append(value)
+
+    start = 0
+    while start < len(raw) and raw[start] is None:
+        start += 1
+    values = []
+    for v in raw[start:]:
+        if v is not None:
+            values.append(v)
+        elif missing_policy == "forward_fill":
+            values.append(values[-1])
+    if len(values) < 2:
+        raise SeriesLoadError(f"{name}: fewer than 2 values after {missing_policy} policy")
+    if label is None:
+        stem = os.path.splitext(os.path.basename(name))[0]
+        label = f"{stem}:{column}"
+    return values, label

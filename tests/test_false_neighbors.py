@@ -15,13 +15,11 @@ from delaymap import (
     FnnParams,
     NoAdmissibleNeighborError,
     TimeSeries,
-    cloud_from_points,
     delay_embed,
     embedding_dimension,
     fnn_fraction,
     henon,
     lorenz,
-    nearest_neighbor,
     sine,
     white_noise,
 )
@@ -34,26 +32,24 @@ def series(*vals):
 
 
 def test_nearest_neighbor_examples():
-    cloud = cloud_from_points([[0.0], [10.0], [1.0]])
-    assert nearest_neighbor(cloud, 0, 0) == 2
+    pts = np.array([[0.0], [10.0], [1.0]])
+    assert _bulk_nearest(pts, 0)[0][0] == 2
+    assert nn_scan(pts, 0, 0)[0] == 2
 
-    tie = cloud_from_points([[0.0], [1.0], [1.0]])
-    assert nearest_neighbor(tie, 0, 0) == 1  # equal distances -> smaller index
+    tie = np.array([[0.0], [1.0], [1.0]])
+    assert _bulk_nearest(tie, 0)[0][0] == 1  # equal distances -> smaller index
+    assert nn_scan(tie, 0, 0)[0] == 1
 
 
 def test_nearest_neighbor_band_excludes_everything():
     cloud = delay_embed(series(1, 2, 3, 4), EmbeddingParams(1, 2))
     assert len(cloud) == 3
+    idx, dist = _bulk_nearest(cloud.points, 2)
+    assert idx.tolist() == [-1, -1, -1]
+    assert np.isinf(dist).all()
+    assert nn_scan(cloud.points, 0, 2) == (-1, np.inf)
     with pytest.raises(NoAdmissibleNeighborError):
-        nearest_neighbor(cloud, 0, 2)
-
-
-def test_nearest_neighbor_validation():
-    cloud = cloud_from_points([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        nearest_neighbor(cloud, 5, 0)
-    with pytest.raises(ValueError):
-        nearest_neighbor(cloud, 0, -1)
+        fnn_fraction(series(1, 2, 4, 3, 5), 1, 2, FnnParams(theiler_window=2))
 
 
 def test_bulk_search_matches_scan_including_ties():
