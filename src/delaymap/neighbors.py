@@ -16,6 +16,16 @@ Zero-distance neighbors follow the continuity limit of the ratio: a pair
 at distance 0 is false when the appended coordinates differ (R_i = inf)
 and a true neighbor when they coincide; such points stay in the tested
 tally (nothing is skipped for them).
+
+The neighbor search has two exact routes with one contract (the same
+index and distance arrays, bit for bit).  A k-d tree serves clouds whose
+neighbors are much closer than a typical pair.  In a high-m embedding of
+a noise-like record the nearest distance approaches the typical pair
+distance (Beyer et al., "When is 'nearest neighbor' meaningful?", 1999)
+and the tree ends up visiting nearly every pair, so a blocked scan over
+all pairs takes over.  The choice is made per cloud by a probe that
+reads only the cloud and the window: the median nearest-neighbor
+distance of a few evenly spaced rows over the RMS pair distance.
 """
 
 from __future__ import annotations
@@ -36,6 +46,20 @@ __all__ = [
     "fnn_fraction",
     "embedding_dimension",
 ]
+
+#: Evenly spaced rows whose nearest-neighbor distances the route probe reads.
+_PROBE_ROWS = 32
+#: Probe contrast from which the scan runs.  On white noise the scan
+#: overtakes the k-d tree at a contrast of about 0.26 for n = 3 000 and
+#: about 0.33 for n = 10 000 (its cost grows as n^2); this lies between.
+_SCAN_CONTRAST = 0.3
+#: Largest scan block (rows x columns), whatever the cloud size.
+_SCAN_ELEMENTS = 1 << 16
+#: Largest multiply-add count of one block product: OpenBLAS runs a product
+#: this small on one thread, and its extra threads cost more CPU than they
+#: save wall time on products this thin.
+_SCAN_PRODUCT = 1 << 18
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -116,7 +140,143 @@ class DimensionSelection:
     found: bool
 
 
-def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest neighbor of every point of a cloud of at least 2
+    points, by the route that suits the cloud.
+
+    One k-d tree is built.  When the probe contrast reaches
+    ``_SCAN_CONTRAST`` the tree has degenerated and `_dense_nearest`
+    scans every pair; otherwise the tree answers through `_bulk_nearest`.
+    Both routes return the same arrays, so the choice never shows in a
+    result.
+    """
+    from scipy.spatial import cKDTree  # deferred: costs most of `import delaymap`
+
+    tree = cKDTree(points, balanced_tree=False)
+    if _probe_contrast(tree, points, w) >= _SCAN_CONTRAST:
+        return _dense_nearest(points, w)
+    return _bulk_nearest(points, w, tree)
+
+
+def _probe_contrast(tree, points: np.ndarray, w: int) -> float:
+    """Median admissible nearest-neighbor distance of ``_PROBE_ROWS`` evenly
+    spaced rows, over the RMS pair distance sqrt(2 * sum of axis variances).
+
+    Depth 2w + 3 (or all n points) reaches past the temporal band, so
+    each probe row's first admissible candidate is its nearest neighbor.
+    Returns 0 (keep the tree) when no probe row has an admissible
+    candidate, and when the cloud's scale could overflow the scan's sums.
+    """
+    n = len(points)
+    rows = np.unique(np.linspace(0, n - 1, _PROBE_ROWS).astype(np.int64))
+    d, i = tree.query(points[rows], k=min(n, 2 * w + 3))
+    admissible = (np.abs(i - rows[:, None]) > w) & (i < n)
+    has_adm = admissible.any(axis=1)
+    # one axis at a time, so no temporary as large as the cloud
+    pair_sq = 2.0 * sum(float(axis.var()) for axis in points.T)
+    # the scan's sums stay below 2 * n * pair_sq
+    if not has_adm.any() or not 0.0 < 4.0 * n * pair_sq < np.inf:
+        return 0.0
+    nearest = d[has_adm, np.argmax(admissible[has_adm], axis=1)]
+    return float(np.median(nearest)) / np.sqrt(pair_sq)
+
+
+def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest neighbor of every point by a blocked scan of all pairs.
+
+    Same contract as `_bulk_nearest`.  In centred coordinates c, row i
+    ranks column j by sq_j - 2 c_i.c_j (its squared distance less sq_i),
+    computed for a block of rows and columns by one product of the
+    augmented rows [-2 c_i, 1] and [c_j, sq_j]; the temporal band is set
+    to +inf by index.  Every column within a proven rounding slack of the
+    row minimum stays a candidate, and `_settle` recomputes the
+    candidates' distances from the original points exactly as the k-d
+    tree does, so the winner and its distance match the tree's bit for
+    bit.  A block holds at most ``_SCAN_ELEMENTS`` entries whatever n is.
+    """
+    n, m = points.shape
+    w = min(w, n)  # a wider band excludes nothing more
+    nn_idx = np.full(n, -1, dtype=np.int64)
+    nn_dist = np.full(n, np.inf)
+    # the augmented rows [-2 c_i, 1] and, transposed, [c_j, sq_j]
+    lhs = np.empty((n, m + 1))
+    c = lhs[:, :m]
+    np.subtract(points, points.mean(axis=0), out=c)
+    sq = np.einsum("ij,ij->i", c, c)
+    rhs = np.empty((m + 1, n))  # row-major: 3x faster products than a transposed view
+    rhs[:m] = c.T
+    rhs[m] = sq
+    c *= -2.0
+    lhs[:, m] = 1.0
+    # With u the unit roundoff and S = sq_i + max(sq): a ranking value is
+    # sq_ij - sq_i to within (3m + 6) u S (rounding of the centring, of sq
+    # and of the product), and the tree's rounding lets its winner's
+    # squared distance (at most 2 S) pass the ranked minimum's by under
+    # 4 (m + 5) u S.  The winner thus ranks within (10m + 32) u S of the
+    # row minimum, inside the slack; its last term covers products that
+    # underflow.
+    unit = np.finfo(np.float64).eps / 2
+    slack = 16 * (m + 4) * (unit * (sq + sq.max()) + np.finfo(np.float64).tiny)
+    size = max(1, min(_SCAN_ELEMENTS, _SCAN_PRODUCT // (m + 1)))
+    cols = min(n, size)
+    rows = max(1, size // cols)
+    # the band of a block's rows: (row in block, column less block start)
+    band_row = np.repeat(np.arange(rows), 2 * w + 1)
+    band_col = band_row + np.tile(np.arange(-w, w + 1), rows)
+    found, count = [], 0
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        in_block = slice(0, (r1 - r0) * (2 * w + 1))
+        best = np.full(r1 - r0, np.inf)
+        for c0 in range(0, n, cols):
+            g = lhs[r0:r1] @ rhs[:, c0 : c0 + cols]
+            j = band_col[in_block] + (r0 - c0)
+            hit = (j >= 0) & (j < g.shape[1])
+            g[band_row[in_block][hit], j[hit]] = np.inf
+            np.minimum(best, g.min(axis=1), out=best)
+            # capped, so that a row with nothing admissible yet admits no band entry
+            cut = np.minimum(best + slack[r0:r1], _FLOAT_MAX)
+            ri, cj = np.divmod(np.flatnonzero(g <= cut[:, None]), g.shape[1])
+            found.append((ri + r0, cj + c0))
+            count += ri.size
+        if count * m >= size or r1 == n:  # settle at most about a block of coordinates
+            _settle(points, found, nn_idx, nn_dist)
+            found, count = [], 0
+    return nn_idx, nn_dist
+
+
+def _settle(points, found, nn_idx, nn_dist) -> None:
+    """Pick each row's winner among its (row, column) candidates: least
+    exact distance, then least index."""
+    ri = np.concatenate([f[0] for f in found])
+    cj = np.concatenate([f[1] for f in found])
+    dist = _tree_distance(points[ri], points[cj])
+    order = np.lexsort((cj, dist, ri))
+    ri, cj, dist = ri[order], cj[order], dist[order]
+    lead = np.ones(ri.size, dtype=bool)
+    lead[1:] = ri[1:] != ri[:-1]
+    nn_idx[ri[lead]] = cj[lead]
+    nn_dist[ri[lead]] = dist[lead]
+
+
+def _tree_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance summed in cKDTree's p=2 order, so equal
+    to its query distances bit for bit: four running sums over 4-wide
+    steps, added s0+s1+s2+s3, then the tail, then sqrt.  (A plain
+    left-to-right sum differs from m = 8 on, ``einsum`` from m = 3.)"""
+    sq = np.square(a - b)
+    m = sq.shape[1]
+    whole = m - m % 4
+    acc = np.zeros((len(sq), 4))
+    for s in range(0, whole, 4):
+        acc += sq[:, s : s + 4]
+    total = acc[:, 0] + acc[:, 1] + acc[:, 2] + acc[:, 3]
+    for col in range(whole, m):
+        total += sq[:, col]
+    return np.sqrt(total)
+
+
+def _bulk_nearest(points: np.ndarray, w: int, tree=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point via a k-d tree.
 
     Returns (index, distance) arrays; index is -1 (distance inf) where the
@@ -132,7 +292,8 @@ def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     (the point itself, the winner and one strictly farther candidate).
     Rows left uncertified jump to depth 2w + 3, which covers the whole
     temporal band of a flow whose band members are its nearest points,
-    and keep doubling from there.
+    and keep doubling from there.  ``tree``, when given, is that tree
+    already built on ``points``.
     """
     from scipy.spatial import cKDTree  # deferred: costs most of `import delaymap`
 
@@ -141,7 +302,8 @@ def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     nn_dist = np.full(n, np.inf)
     if n < 2:
         return nn_idx, nn_dist
-    tree = cKDTree(points, balanced_tree=False)
+    if tree is None:
+        tree = cKDTree(points, balanced_tree=False)
     pending = np.arange(n)
     k = min(n, 3)
     while pending.size:
@@ -195,7 +357,7 @@ def fnn_fraction(
         raise ValueError(
             f"no testable points: need t + {m}*{delay} < {n} for at least 2 points"
         )
-    nn_idx, nn_dist = _bulk_nearest(np.ascontiguousarray(cloud.points[:limit]), w)
+    nn_idx, nn_dist = _nearest(np.ascontiguousarray(cloud.points[:limit]), w)
 
     sel = np.flatnonzero(nn_idx >= 0)
     if sel.size == 0:

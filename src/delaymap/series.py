@@ -127,16 +127,15 @@ def load_csv(
 
     # the lines as csv.reader would iterate them
     stream = hasattr(source, "read")
-    if stream:
-        name = getattr(source, "name", "<stream>")
-        lines = list(source)
-    else:
-        name = os.fspath(source)
-        try:
+    name = getattr(source, "name", "<stream>") if stream else os.fspath(source)
+    try:
+        if stream:
+            lines = list(source)
+        else:
             with open(name, "r", newline="", encoding="utf-8") as fh:
                 lines = list(fh)
-        except OSError as exc:
-            raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
 
     parsed = None
     text = "".join(lines)
@@ -192,7 +191,7 @@ def _split_cells(lines, column, skip_header, delimiter, name):
 def _scan_cells(lines, column, skip_header, delimiter, name):
     """Row scan through csv.reader: the stripped cells of the selected
     column, each checked, so that an error names its line."""
-    rows = _read_rows(lines, delimiter)
+    rows = _read_rows(lines, delimiter, name)
     if not rows:
         raise SeriesLoadError(f"{name}: no data rows")
     col_idx, header_rows = _resolve_column(rows[0][1], column, skip_header, name)
@@ -212,13 +211,20 @@ def _scan_cells(lines, column, skip_header, delimiter, name):
     return cells
 
 
-def _read_rows(lines, delimiter):
-    """Return [(lineno, row), ...] skipping blank and '#'-comment lines."""
+def _read_rows(lines, delimiter, name):
+    """Return [(lineno, row), ...] skipping blank and '#'-comment lines.
+
+    A line csv.reader cannot split (one over its field size limit, or a
+    bare carriage return inside a line) raises SeriesLoadError naming it.
+    """
     out = []
     reader = csv.reader(lines, delimiter=delimiter)
-    for lineno, row in enumerate(reader, start=1):
-        if row and _is_data_row(row):
-            out.append((lineno, row))
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if row and _is_data_row(row):
+                out.append((lineno, row))
+    except csv.Error as exc:
+        raise SeriesLoadError(f"{name}:{reader.line_num}: {exc}") from exc
     return out
 
 

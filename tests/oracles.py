@@ -170,24 +170,27 @@ def load_csv_rows(
 
     def read_rows(stream):
         out = []
-        for lineno, row in enumerate(csv.reader(stream, delimiter=delimiter), start=1):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            out.append((lineno, row))
+        reader = csv.reader(stream, delimiter=delimiter)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(c.strip() == "" for c in row):
+                    continue
+                if row[0].lstrip().startswith("#"):
+                    continue
+                out.append((lineno, row))
+        except csv.Error as exc:
+            raise SeriesLoadError(f"{name}:{reader.line_num}: {exc}") from exc
         return out
 
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        rows = read_rows(source)
-    else:
-        name = os.fspath(source)
-        try:
+    name = getattr(source, "name", "<stream>") if hasattr(source, "read") else os.fspath(source)
+    try:
+        if hasattr(source, "read"):
+            rows = read_rows(source)
+        else:
             with open(name, "r", newline="", encoding="utf-8") as fh:
                 rows = read_rows(fh)
-        except OSError as exc:
-            raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
     if not rows:
         raise SeriesLoadError(f"{name}: no data rows")
 

@@ -363,3 +363,20 @@ def test_pipeline_env_var_sets_output_dir(tmp_path, monkeypatch):
     cfg.write_text(f"output_dir = {file_dir}\n")
     assert main(["pipeline", path, "--config", str(cfg), "--fixed-delay", "2"]) == 0
     assert (file_dir / "report.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (b"# " + b"x" * 140_000 + b"\n1.0\n2.0\n3.0\n", "series.csv:1: field larger"),
+        (b"1.0\n2.0\n\xff3.0\n4.0\n", "cannot read"),
+    ],
+    ids=["line-over-the-csv-field-limit", "not-utf-8"],
+)
+def test_unreadable_series_text_exits_3(tmp_path, capsys, content, where):
+    path = tmp_path / "series.csv"
+    path.write_bytes(content)
+    code = main(["ami", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert where in err and "series.csv" in err

@@ -23,7 +23,8 @@ from delaymap import (
     sine,
     white_noise,
 )
-from delaymap.neighbors import _bulk_nearest
+from delaymap import neighbors
+from delaymap.neighbors import _bulk_nearest, _dense_nearest, _tree_distance
 from oracles import fnn_recount, nn_scan
 
 
@@ -262,3 +263,114 @@ def test_params_and_curve_validation():
         FnnCurve((FnnEntry(2, 0.5, 10, 0),))  # must start at m=1
     with pytest.raises(ValueError):
         FnnCurve((FnnEntry(1, 0.5, 10, 0), FnnEntry(1, 0.5, 10, 0)))
+
+
+def _assert_same_search(pts, w):
+    tree_idx, tree_dist = _bulk_nearest(pts, w)
+    scan_idx, scan_dist = _dense_nearest(pts, w)
+    assert np.array_equal(scan_idx, tree_idx)
+    assert np.array_equal(scan_dist, tree_dist)
+
+
+def test_dense_scan_is_bit_identical_to_the_tree_on_random_clouds():
+    rng = np.random.default_rng(202)
+    for trial in range(60):
+        n = int(rng.integers(2, 201))
+        dim = int(rng.integers(1, 6))
+        if trial % 3 == 2:  # integer lattices: exact distance ties are common
+            pts = rng.integers(0, 4, size=(n, dim)).astype(float)
+        else:
+            pts = rng.normal(size=(n, dim)) * float(rng.uniform(0.1, 30.0))
+        for w in range(6):
+            _assert_same_search(pts, w)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["no-offset", "offset-1e6"])
+def test_dense_scan_is_bit_identical_to_the_tree_on_high_m_noise(offset):
+    # in uncentred coordinates the offset would make sq_j - 2 c_i.c_j cancel badly
+    noise = TimeSeries(white_noise(1500, 5).values + offset)
+    for m in range(12, 21):
+        _assert_same_search(_embedded(noise, 1, m, n=1500 - m), 1)
+
+
+def test_dense_scan_edge_cases():
+    two = np.array([[0.0, 1.0], [3.0, 5.0]])
+    idx, dist = _dense_nearest(two, 0)
+    assert idx.tolist() == [1, 0] and dist.tolist() == [5.0, 5.0]
+    pts = np.random.default_rng(3).normal(size=(7, 3))
+    for w in (6, 7, 100):  # the band swallows every candidate
+        idx, dist = _dense_nearest(pts, w)
+        assert idx.tolist() == [-1] * 7 and np.isinf(dist).all()
+    idx, _ = _dense_nearest(pts, 5)  # only the two end rows see each other
+    assert idx.tolist() == [6, -1, -1, -1, -1, -1, 0]
+
+
+def test_dense_scan_matches_the_sequential_scan():
+    rng = np.random.default_rng(23)
+    for trial in range(12):
+        n = int(rng.integers(2, 90))
+        pts = rng.integers(0, 3, size=(n, 4)).astype(float) if trial % 2 else rng.normal(size=(n, 9))
+        w = int(rng.integers(0, 4))
+        idx, dist = _dense_nearest(pts, w)
+        for t in range(n):
+            ref_i, ref_d = nn_scan(pts, t, w)
+            assert idx[t] == ref_i
+            if ref_i >= 0:
+                assert dist[t] == pytest.approx(ref_d, abs=0.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_exact_distances_follow_the_tree_summation_order(m):
+    # the scan's winners carry these distances, so a change in scipy's
+    # summation order must fail here rather than drift the FNN ratios
+    rng = np.random.default_rng(m)
+    pts = rng.normal(size=(60, m)) * rng.uniform(0.01, 100.0, size=m)
+    n = len(pts)
+    d, i = scipy.spatial.cKDTree(pts).query(pts, k=n)
+    rows = np.repeat(np.arange(n), n)
+    assert np.array_equal(_tree_distance(pts[rows], pts[i.ravel()]), d.ravel())
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """(trees built, routes taken) for every neighbor search while the test runs."""
+    trees, taken = [], []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            trees.append(1)
+            super().__init__(*args, **kwargs)
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            taken.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    monkeypatch.setattr(neighbors, "_bulk_nearest", recorded("tree", neighbors._bulk_nearest))
+    monkeypatch.setattr(neighbors, "_dense_nearest", recorded("scan", neighbors._dense_nearest))
+    return trees, taken
+
+
+def test_route_choice_is_deterministic_and_picks_the_scan_for_noise(routes):
+    trees, taken = routes
+    noise = white_noise(3000, 7)
+    first = embedding_dimension(noise, 1)
+    assert taken == ["tree"] * 8 + ["scan"] * 12
+    assert len(trees) == 20
+    again = embedding_dimension(noise, 1)
+    assert taken[20:] == taken[:20]
+    assert again == first
+
+
+@pytest.mark.parametrize(
+    "ts, delay",
+    [(henon(3000), 1), (lorenz(3000), 1), (lorenz(3000), 10), (sine(3000, 40), 1), (sine(3000, 40), 10)],
+    ids=["henon", "lorenz-T1", "lorenz-T10", "sine-T1", "sine-T10"],
+)
+def test_attractors_keep_the_tree_with_one_tree_per_dimension(ts, delay, routes):
+    trees, taken = routes
+    embedding_dimension(ts, delay)
+    assert taken == ["tree"] * 20
+    assert len(trees) == 20

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from delaymap import SeriesLoadError, __version__, sine, white_noise
+from delaymap import SeriesLoadError, __version__, neighbors, sine, white_noise
 from delaymap.pipeline import (
     STATUS_INSUFFICIENT_SCALING,
     STATUS_NO_DIMENSION,
@@ -250,3 +250,25 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     cfg.write_text("m_max = many\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:1"):
         parse_key_value_config(str(cfg))
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_noise_artifacts_do_not_depend_on_the_neighbor_search_route(tmp_path, monkeypatch, seed):
+    # high-m noise takes the blocked scan; forcing the k-d tree everywhere
+    # must write the same bytes
+    path = write_series(tmp_path / "noise.csv", white_noise(3000, seed).values)
+    config = PipelineConfig(input_path=path, output_dir=str(tmp_path / "out"))
+    scans = []
+    scan = neighbors._dense_nearest
+    monkeypatch.setattr(neighbors, "_dense_nearest", lambda *a: scans.append(1) or scan(*a))
+
+    def artifacts():
+        run_pipeline(config)
+        return [(tmp_path / "out" / name).read_bytes() for name in ("fnn_curve.csv", "report.json")]
+
+    routed = artifacts()
+    assert scans
+    monkeypatch.setattr(neighbors, "_SCAN_CONTRAST", np.inf)
+    scans.clear()
+    assert artifacts() == routed
+    assert not scans

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaymap import cloud_from_points, delay_embed, EmbeddingParams, load_csv, lorenz
+from delaymap import (
+    EmbeddingParams,
+    SeriesLoadError,
+    cloud_from_points,
+    delay_embed,
+    load_csv,
+    lorenz,
+    series_from_text,
+)
 from delaymap.cli import main
 from delaymap.generators import GeneratorSpec, generate
 from delaymap.pipeline import repr_cells, write_cloud_csv
@@ -86,6 +94,7 @@ LOADER_CASES = PLAIN_CASES + [
     ("1\n2\n", {"delimiter": ";;"}),
     ("1\n2\n", {"missing_policy": "interpolate"}),
     ("#" + "x" * 140_000 + "\n1\n2\n", {}),
+    ("1\n2\r3\n4\n", {}),
 ]
 
 
@@ -93,6 +102,16 @@ LOADER_CASES = PLAIN_CASES + [
 @pytest.mark.parametrize("text, kwargs", LOADER_CASES)
 def test_loader_matches_the_row_scan(tmp_path, text, kwargs, kind):
     assert_loader_parity(text, kind, tmp_path / "series.csv", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("#" + "x" * 140_000 + "\n1\n2\n", 1), ("1\n2\r3\n4\n", 2)],
+    ids=["line-over-the-csv-field-limit", "bare-carriage-return"],
+)
+def test_rows_csv_cannot_split_raise_a_load_error_naming_the_line(text, line):
+    with pytest.raises(SeriesLoadError, match=f"^<stream>:{line}: "):
+        series_from_text(text)
 
 
 @pytest.mark.parametrize("text, kwargs", PLAIN_CASES)
