@@ -60,6 +60,9 @@ _SCAN_ELEMENTS = 1 << 16
 #: save wall time on products this thin.
 _SCAN_PRODUCT = 1 << 18
 _FLOAT_MAX = np.finfo(np.float64).max
+#: Dimensions the sweep evaluates past the selected m, so the curve shows
+#: the false fraction staying down after the crossing.
+_CONFIRM_DIMS = 2
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class FnnParams:
     """Knobs of the false-neighbor estimator.
 
     theiler_window=None means "use the embedding delay T"; pass 0 to
-    disable temporal exclusion entirely.
+    disable temporal exclusion entirely.  m_max is the highest dimension
+    the sweep may try; it stops earlier once a dimension is selected.
     """
 
     r_tol: float = 10.0
@@ -130,9 +134,10 @@ class DimensionSelection:
     """Outcome of the dimension sweep.
 
     ``found`` is False when no dimension up to m_max pushed the false
-    fraction under the threshold; ``m_selected`` is then None and the
-    caller may retry with a larger m_max.  The full curve is always
-    carried either way.
+    fraction under the threshold; ``m_selected`` is then None, ``curve``
+    runs to m_max and the caller may retry with a larger m_max.  When a
+    dimension is found, ``curve`` ends ``_CONFIRM_DIMS`` (two) dimensions
+    past it, or at m_max.
     """
 
     m_selected: int | None
@@ -379,20 +384,22 @@ def fnn_fraction(
 def embedding_dimension(
     series: TimeSeries, delay: int, params: FnnParams = FnnParams()
 ) -> DimensionSelection:
-    """Sweep m = 1..m_max and pick the first negligible false fraction.
+    """Sweep m = 1, 2, ... and pick the first negligible false fraction.
 
-    The full curve is evaluated and returned regardless of where (or
-    whether) the threshold is crossed.
+    The sweep stops ``_CONFIRM_DIMS`` dimensions past the first crossing
+    (or at m_max if that comes first); when nothing crosses it runs to
+    m_max.  The rows it skips could not change the selection.
     """
     if params.m_max * delay >= len(series):
         raise ValueError(
             f"m_max*T = {params.m_max * delay} must stay below N = {len(series)}"
         )
-    entries = tuple(
-        fnn_fraction(series, delay, m, params) for m in range(1, params.m_max + 1)
-    )
-    curve = FnnCurve(entries)
-    for e in entries:
-        if e.fraction <= params.fnn_threshold:
-            return DimensionSelection(e.m, curve, True)
-    return DimensionSelection(None, curve, False)
+    entries, m_selected = [], None
+    for m in range(1, params.m_max + 1):
+        if m_selected is not None and m > m_selected + _CONFIRM_DIMS:
+            break
+        entry = fnn_fraction(series, delay, m, params)
+        entries.append(entry)
+        if m_selected is None and entry.fraction <= params.fnn_threshold:
+            m_selected = m
+    return DimensionSelection(m_selected, FnnCurve(tuple(entries)), m_selected is not None)

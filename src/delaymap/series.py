@@ -214,15 +214,19 @@ def _scan_cells(lines, column, skip_header, delimiter, name):
 def _read_rows(lines, delimiter, name):
     """Return [(lineno, row), ...] skipping blank and '#'-comment lines.
 
-    A line csv.reader cannot split (one over its field size limit, or a
-    bare carriage return inside a line) raises SeriesLoadError naming it.
+    lineno is the file line a row starts on, so a quoted cell that spans
+    lines does not shift the numbers of the rows after it.  A line
+    csv.reader cannot split (one over its field size limit, or a bare
+    carriage return inside a line) raises SeriesLoadError naming it.
     """
     out = []
     reader = csv.reader(lines, delimiter=delimiter)
     try:
-        for lineno, row in enumerate(reader, start=1):
+        lineno = 1
+        for row in reader:
             if row and _is_data_row(row):
                 out.append((lineno, row))
+            lineno = reader.line_num + 1
     except csv.Error as exc:
         raise SeriesLoadError(f"{name}:{reader.line_num}: {exc}") from exc
     return out

@@ -172,12 +172,11 @@ def load_csv_rows(
         out = []
         reader = csv.reader(stream, delimiter=delimiter)
         try:
-            for lineno, row in enumerate(reader, start=1):
-                if not row or all(c.strip() == "" for c in row):
-                    continue
-                if row[0].lstrip().startswith("#"):
-                    continue
-                out.append((lineno, row))
+            lineno = 1  # the file line the next row starts on
+            for row in reader:
+                if row and any(c.strip() for c in row) and not row[0].lstrip().startswith("#"):
+                    out.append((lineno, row))
+                lineno = reader.line_num + 1
         except csv.Error as exc:
             raise SeriesLoadError(f"{name}:{reader.line_num}: {exc}") from exc
         return out

@@ -370,8 +370,10 @@ def test_pipeline_env_var_sets_output_dir(tmp_path, monkeypatch):
     [
         (b"# " + b"x" * 140_000 + b"\n1.0\n2.0\n3.0\n", "series.csv:1: field larger"),
         (b"1.0\n2.0\n\xff3.0\n4.0\n", "cannot read"),
+        # a quoted cell over lines 2-3 must not shift the later line numbers
+        (b'1\n"2\n"\n3\nbogus\n4\n', "series.csv:5: non-numeric cell 'bogus'"),
     ],
-    ids=["line-over-the-csv-field-limit", "not-utf-8"],
+    ids=["line-over-the-csv-field-limit", "not-utf-8", "after-a-quoted-line-break"],
 )
 def test_unreadable_series_text_exits_3(tmp_path, capsys, content, where):
     path = tmp_path / "series.csv"

@@ -15,10 +15,13 @@ from delaymap import (
     FnnParams,
     NoAdmissibleNeighborError,
     TimeSeries,
+    ami_curve,
     delay_embed,
     embedding_dimension,
+    first_local_minimum,
     fnn_fraction,
     henon,
+    logistic,
     lorenz,
     sine,
     white_noise,
@@ -30,6 +33,11 @@ from oracles import fnn_recount, nn_scan
 
 def series(*vals):
     return TimeSeries(np.array(vals, dtype=np.float64))
+
+
+def _full_sweep(ts, delay, params=FnnParams()):
+    """fnn_fraction at every m = 1..m_max: the curve without the early stop."""
+    return [fnn_fraction(ts, delay, m, params) for m in range(1, params.m_max + 1)]
 
 
 def test_nearest_neighbor_examples():
@@ -232,8 +240,49 @@ def test_embedding_dimension_selects_first_crossing():
     s = sine(2000, 40)
     sel = embedding_dimension(s, 10, FnnParams(m_max=5))
     assert sel.found and sel.m_selected == 2
-    assert [e.m for e in sel.curve.entries] == [1, 2, 3, 4, 5]
+    assert [e.m for e in sel.curve.entries] == [1, 2, 3, 4]
     assert sel.curve.entries[1].fraction <= 0.01
+
+
+@pytest.mark.parametrize(
+    "ts, delay",
+    [
+        (henon(3000), 1),
+        (logistic(3000), 1),
+        (lorenz(3000), 1),
+        (lorenz(3000), None),
+        (sine(3000, 40), 1),
+        (white_noise(3000, 3), 1),
+        (white_noise(3000, 7), 1),
+    ],
+    ids=["henon", "logistic", "lorenz-T1", "lorenz-ami", "sine-p40", "noise-3", "noise-7"],
+)
+def test_sweep_stops_two_dimensions_past_the_selection(ts, delay):
+    delay = first_local_minimum(ami_curve(ts)).lag if delay is None else delay
+    params = FnnParams()
+    full = _full_sweep(ts, delay, params)
+    first = next((e.m for e in full if e.fraction <= params.fnn_threshold), None)
+    sel = embedding_dimension(ts, delay, params)
+    assert (sel.m_selected, sel.found) == (first, first is not None)
+    assert first is not None
+    assert len(sel.curve) == min(params.m_max, first + 2)
+    assert sel.curve.entries == tuple(full[: len(sel.curve)])
+
+
+def test_sweep_runs_to_m_max_when_nothing_crosses():
+    noise = white_noise(2000, 11)
+    params = FnnParams(fnn_threshold=0.0, m_max=5)
+    sel = embedding_dimension(noise, 1, params)
+    assert not sel.found and sel.m_selected is None
+    assert sel.curve.entries == tuple(_full_sweep(noise, 1, params))
+
+
+def test_sweep_stops_at_m_max_inside_the_confirmation_dims():
+    s = sine(2000, 40)
+    for m_max in (2, 3):
+        sel = embedding_dimension(s, 10, FnnParams(m_max=m_max))
+        assert sel.m_selected == 2
+        assert [e.m for e in sel.curve.entries] == list(range(1, m_max + 1))
 
 
 def test_embedding_dimension_can_fail_to_find():
@@ -356,10 +405,10 @@ def routes(monkeypatch):
 def test_route_choice_is_deterministic_and_picks_the_scan_for_noise(routes):
     trees, taken = routes
     noise = white_noise(3000, 7)
-    first = embedding_dimension(noise, 1)
+    first = _full_sweep(noise, 1)
     assert taken == ["tree"] * 8 + ["scan"] * 12
     assert len(trees) == 20
-    again = embedding_dimension(noise, 1)
+    again = _full_sweep(noise, 1)
     assert taken[20:] == taken[:20]
     assert again == first
 
@@ -371,6 +420,6 @@ def test_route_choice_is_deterministic_and_picks_the_scan_for_noise(routes):
 )
 def test_attractors_keep_the_tree_with_one_tree_per_dimension(ts, delay, routes):
     trees, taken = routes
-    embedding_dimension(ts, delay)
+    _full_sweep(ts, delay)
     assert taken == ["tree"] * 20
     assert len(trees) == 20

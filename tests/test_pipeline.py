@@ -1,18 +1,31 @@
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from delaymap import SeriesLoadError, __version__, neighbors, sine, white_noise
+from delaymap import (
+    FnnCurve,
+    SeriesLoadError,
+    __version__,
+    fnn_fraction,
+    henon,
+    load_csv,
+    neighbors,
+    sine,
+    white_noise,
+)
 from delaymap.pipeline import (
     STATUS_INSUFFICIENT_SCALING,
     STATUS_NO_DIMENSION,
     STATUS_OK,
     PipelineConfig,
     coerce_config_value,
+    fnn_params,
     parse_key_value_config,
     run_pipeline,
+    write_fnn_csv,
 )
 
 
@@ -252,12 +265,19 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
         parse_key_value_config(str(cfg))
 
 
-@pytest.mark.parametrize("seed", [3, 7])
-def test_noise_artifacts_do_not_depend_on_the_neighbor_search_route(tmp_path, monkeypatch, seed):
+@pytest.mark.parametrize(
+    "seed, fnn_keys",
+    # seed 3 selects m=5 under the defaults and its sweep stops at m=7, short
+    # of the scan; r_tol=3 moves its crossing to m=10, past the scan's onset
+    [pytest.param(3, {"r_tol": 3.0}, id="3"), pytest.param(7, {}, id="7")],
+)
+def test_noise_artifacts_do_not_depend_on_the_neighbor_search_route(
+    tmp_path, monkeypatch, seed, fnn_keys
+):
     # high-m noise takes the blocked scan; forcing the k-d tree everywhere
     # must write the same bytes
     path = write_series(tmp_path / "noise.csv", white_noise(3000, seed).values)
-    config = PipelineConfig(input_path=path, output_dir=str(tmp_path / "out"))
+    config = PipelineConfig(input_path=path, output_dir=str(tmp_path / "out"), **fnn_keys)
     scans = []
     scan = neighbors._dense_nearest
     monkeypatch.setattr(neighbors, "_dense_nearest", lambda *a: scans.append(1) or scan(*a))
@@ -272,3 +292,21 @@ def test_noise_artifacts_do_not_depend_on_the_neighbor_search_route(tmp_path, mo
     scans.clear()
     assert artifacts() == routed
     assert not scans
+
+
+def test_fnn_curve_csv_is_a_prefix_of_the_full_sweep(tmp_path):
+    path = write_series(tmp_path / "henon.csv", henon(3000).values)
+    config = PipelineConfig(input_path=path, output_dir=str(tmp_path / "out"), fixed_delay=1)
+    rep = run_pipeline(config)
+    assert rep.selected_dimension == 2
+    params = fnn_params(config)
+    series = load_csv(path)
+    full = FnnCurve(tuple(
+        fnn_fraction(series, 1, m, params) for m in range(1, params.m_max + 1)
+    ))
+    buf = io.StringIO()
+    write_fnn_csv(buf, full, 1, params)
+    got = (tmp_path / "out" / "fnn_curve.csv").read_bytes()
+    want = buf.getvalue().encode()
+    assert len(got) < len(want) and want.startswith(got)
+    assert got.decode().splitlines()[-1].startswith("4,")

@@ -95,6 +95,7 @@ LOADER_CASES = PLAIN_CASES + [
     ("1\n2\n", {"missing_policy": "interpolate"}),
     ("#" + "x" * 140_000 + "\n1\n2\n", {}),
     ("1\n2\r3\n4\n", {}),
+    ('1\n"2\n"\n3\nbogus\n4\n', {}),
 ]
 
 
