@@ -18,14 +18,19 @@ and a true neighbor when they coincide; such points stay in the tested
 tally (nothing is skipped for them).
 
 The neighbor search has two exact routes with one contract (the same
-index and distance arrays, bit for bit).  A k-d tree serves clouds whose
-neighbors are much closer than a typical pair.  In a high-m embedding of
-a noise-like record the nearest distance approaches the typical pair
-distance (Beyer et al., "When is 'nearest neighbor' meaningful?", 1999)
-and the tree ends up visiting nearly every pair, so a blocked scan over
-all pairs takes over.  The choice is made per cloud by a probe that
-reads only the cloud and the window: the median nearest-neighbor
-distance of a few evenly spaced rows over the RMS pair distance.
+index and distance arrays, bit for bit): a blocked scan over all pairs
+and a k-d tree.  A cloud of at most ``_SCAN_PAIRS`` pairs (n <= 5 792)
+takes the scan at every m, so a short record never loads
+``scipy.spatial``, whose import alone costs more than such a scan.  A
+larger cloud builds the tree, which serves clouds whose neighbors are
+much closer than a typical pair.  In a high-m embedding of a noise-like
+record the nearest distance approaches the typical pair distance (Beyer
+et al., "When is 'nearest neighbor' meaningful?", 1999) and the tree ends
+up visiting nearly every pair, so the scan takes over there too.  That
+choice is made per cloud by a probe that reads only the cloud and the
+window: the median nearest-neighbor distance of a few evenly spaced rows
+over the RMS pair distance.  Either way, a cloud whose scale could
+overflow the scan's sums keeps the tree.
 """
 
 from __future__ import annotations
@@ -47,6 +52,14 @@ __all__ = [
     "embedding_dimension",
 ]
 
+#: Largest pair count n^2 that takes the scan with no tree and no probe
+#: (n <= 5 792).  Below it the scan beats importing scipy.spatial (0.5-0.6 s)
+#: and sweeping with the tree.  FNN stage of one process, scan-only sweep vs
+#: tree sweep plus the import: Henon m=1..4 111 ms vs 23 ms + import at
+#: n = 3 000, 215 vs 38 at 5 000, 486 vs 48 at 8 000; white noise m=1..8
+#: 235 vs 185 at 3 000, 517 vs 368 at 5 000, 1 231 vs 598 at 8 000.  The
+#: crossover lies near n = 6 000-7 000; 2^25 leaves margin.
+_SCAN_PAIRS = 1 << 25
 #: Evenly spaced rows whose nearest-neighbor distances the route probe reads.
 _PROBE_ROWS = 32
 #: Probe contrast from which the scan runs.  On white noise the scan
@@ -149,12 +162,21 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point of a cloud of at least 2
     points, by the route that suits the cloud.
 
-    One k-d tree is built.  When the probe contrast reaches
-    ``_SCAN_CONTRAST`` the tree has degenerated and `_dense_nearest`
-    scans every pair; otherwise the tree answers through `_bulk_nearest`.
-    Both routes return the same arrays, so the choice never shows in a
-    result.
+    A cloud of at most ``_SCAN_PAIRS`` pairs goes straight to
+    `_dense_nearest`, with no tree, no probe and no ``scipy.spatial``
+    import.  That wins for one sweep per process; a caller that runs many
+    sweeps in one process pays a little more per m below the gate (Henon,
+    n = 5 000: about 52 ms a dimension against 10 ms by the tree once
+    scipy is loaded).  A larger cloud builds one k-d tree; when the probe
+    contrast reaches ``_SCAN_CONTRAST`` the tree has degenerated and
+    `_dense_nearest` scans every pair, otherwise the tree answers through
+    `_bulk_nearest`.  A cloud too large in scale for the scan's sums
+    (`_scan_pair_sq` is 0) keeps the tree.  All routes return the same
+    arrays, so the choice never shows in a result.
     """
+    n = len(points)
+    if n * n <= _SCAN_PAIRS and _scan_pair_sq(points):
+        return _dense_nearest(points, w)
     from scipy.spatial import cKDTree  # deferred: costs most of `import delaymap`
 
     tree = cKDTree(points, balanced_tree=False)
@@ -163,9 +185,20 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     return _bulk_nearest(points, w, tree)
 
 
+def _scan_pair_sq(points: np.ndarray) -> float:
+    """Mean squared pair distance, 2 * sum of axis variances, or 0 when the
+    scan cannot serve the cloud: its sums stay below 2 * n times this, and
+    its rounding-slack proof needs 4 * n times this finite and positive."""
+    # one axis at a time, so no temporary as large as the cloud; a variance
+    # that overflows only sends the cloud to the tree
+    with np.errstate(over="ignore"):
+        pair_sq = 2.0 * sum(float(axis.var()) for axis in points.T)
+    return pair_sq if 0.0 < 4.0 * len(points) * pair_sq < np.inf else 0.0
+
+
 def _probe_contrast(tree, points: np.ndarray, w: int) -> float:
     """Median admissible nearest-neighbor distance of ``_PROBE_ROWS`` evenly
-    spaced rows, over the RMS pair distance sqrt(2 * sum of axis variances).
+    spaced rows, over the RMS pair distance sqrt(`_scan_pair_sq`).
 
     Depth 2w + 3 (or all n points) reaches past the temporal band, so
     each probe row's first admissible candidate is its nearest neighbor.
@@ -177,10 +210,8 @@ def _probe_contrast(tree, points: np.ndarray, w: int) -> float:
     d, i = tree.query(points[rows], k=min(n, 2 * w + 3))
     admissible = (np.abs(i - rows[:, None]) > w) & (i < n)
     has_adm = admissible.any(axis=1)
-    # one axis at a time, so no temporary as large as the cloud
-    pair_sq = 2.0 * sum(float(axis.var()) for axis in points.T)
-    # the scan's sums stay below 2 * n * pair_sq
-    if not has_adm.any() or not 0.0 < 4.0 * n * pair_sq < np.inf:
+    pair_sq = _scan_pair_sq(points)
+    if not has_adm.any() or not pair_sq:
         return 0.0
     nearest = d[has_adm, np.argmax(admissible[has_adm], axis=1)]
     return float(np.median(nearest)) / np.sqrt(pair_sq)
@@ -348,13 +379,24 @@ def fnn_fraction(
 
     Returns:
         FnnEntry(m, false_count / tested, tested, skipped).
+
+    Raises:
+        DegenerateSeriesError: the series is constant, or m * range^2
+            overflows float64, so no squared distance can be computed.
     """
     n = len(series)
     if m < 1 or delay < 1:
         raise ValueError("dimension and delay must be >= 1")
     vals = series.values
-    if vals.min() == vals.max():
+    span = float(vals.max()) - float(vals.min())  # a Python float overflows to inf silently
+    if span == 0.0:
         raise DegenerateSeriesError("constant series has no neighbor structure")
+    # the largest squared distance in m coordinates is m * range^2
+    if not np.isfinite(m * span * span):
+        raise DegenerateSeriesError(
+            f"squared distances overflow float64 at m={m}: the series range "
+            f"{span:.3g} is too large for them; rescale the series"
+        )
     w = params.window(delay)
     cloud = delay_embed(series, EmbeddingParams(delay, m))
     limit = n - m * delay

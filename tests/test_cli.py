@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,18 @@ def test_pipeline_cli_exit_codes(tmp_path):
         ["pipeline", ramp, "--output-dir", out, "--fixed-delay", "2",
          "--fixed-dimension", "2", "--ladder-steps", "2"]
     ) == 6
+
+
+def test_pipeline_names_a_float64_overflow_of_the_distances(tmp_path, capsys):
+    path = write_series(tmp_path / "huge.csv", henon(500).values * 1e160)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pipeline", path, "--output-dir", str(tmp_path / "o"), "--fixed-delay", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in stage 'dimension': squared distances overflow float64")
+    assert "theiler" not in err
+    assert "RuntimeWarning" not in err and not caught
 
 
 def test_pipeline_rejects_a_bad_config_before_any_stage(tmp_path, capsys):

@@ -145,6 +145,24 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_pipeline_on_a_short_record_leaves_scipy_spatial_unloaded(tmp_path):
+    # 3 000 points lie under the scan's size gate at every m
+    src = os.path.dirname(os.path.dirname(delaymap.__file__))
+    path = tmp_path / "noise.csv"
+    path.write_text("\n".join(map(repr, white_noise(3000, 7).values.tolist())) + "\n")
+    code = (
+        "import sys; from delaymap import cli;"
+        f" cli.main(['pipeline', {str(path)!r}, '--output-dir', {str(tmp_path / 'out')!r}]);"
+        " print('scipy.spatial' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.stderr.strip() == "False"
+    assert (tmp_path / "out" / "fnn_curve.csv").is_file()
+
+
 def test_line_has_no_false_neighbors():
     s = TimeSeries(np.arange(50, dtype=np.float64))
     for m in (1, 2, 3):
@@ -381,7 +399,7 @@ def test_exact_distances_follow_the_tree_summation_order(m):
 
 
 @pytest.fixture
-def routes(monkeypatch):
+def searches(monkeypatch):
     """(trees built, routes taken) for every neighbor search while the test runs."""
     trees, taken = [], []
 
@@ -400,6 +418,13 @@ def routes(monkeypatch):
     monkeypatch.setattr(neighbors, "_bulk_nearest", recorded("tree", neighbors._bulk_nearest))
     monkeypatch.setattr(neighbors, "_dense_nearest", recorded("scan", neighbors._dense_nearest))
     return trees, taken
+
+
+@pytest.fixture
+def routes(searches, monkeypatch):
+    """`searches` with the size gate lifted, so every cloud meets the probe."""
+    monkeypatch.setattr(neighbors, "_SCAN_PAIRS", 0)
+    return searches
 
 
 def test_route_choice_is_deterministic_and_picks_the_scan_for_noise(routes):
@@ -423,3 +448,38 @@ def test_attractors_keep_the_tree_with_one_tree_per_dimension(ts, delay, routes)
     _full_sweep(ts, delay)
     assert taken == ["tree"] * 20
     assert len(trees) == 20
+
+
+@pytest.mark.parametrize(
+    "ts, delay",
+    [(white_noise(3000, 7), 1), (henon(3000), 1), (lorenz(3000), 1), (lorenz(3000), 10), (sine(3000, 40), 1)],
+    ids=["noise", "henon", "lorenz-T1", "lorenz-T10", "sine-T1"],
+)
+def test_small_clouds_take_the_scan_and_build_no_tree(ts, delay, searches, monkeypatch):
+    trees, taken = searches
+    gated = _full_sweep(ts, delay)
+    assert taken == ["scan"] * 20
+    assert not trees
+    monkeypatch.setattr(neighbors, "_SCAN_PAIRS", 0)
+    assert _full_sweep(ts, delay) == gated
+    assert len(trees) == 20
+
+
+def test_size_gate_sends_clouds_past_2_to_the_25_pairs_to_the_tree(searches):
+    trees, taken = searches
+    assert 5792**2 <= neighbors._SCAN_PAIRS < 5793**2
+    fnn_fraction(white_noise(5793, 4), 1, 1)  # 5 792 points at m = 1
+    assert taken == ["scan"] and not trees
+    fnn_fraction(white_noise(5794, 4), 1, 1)  # 5 793 points
+    assert taken == ["scan", "tree"] and len(trees) == 1
+
+
+def test_cloud_too_large_in_scale_for_the_scan_keeps_the_tree(searches):
+    trees, taken = searches
+    pts = np.random.default_rng(152).normal(size=(300, 3)) * 3e152
+    assert neighbors._scan_pair_sq(pts) == 0.0  # 4 n pair_sq overflows
+    idx, dist = neighbors._nearest(pts, 1)
+    assert taken == ["tree"] and len(trees) == 1
+    ref = [nn_scan(pts, t, 1) for t in range(len(pts))]
+    assert idx.tolist() == [i for i, _ in ref]
+    assert dist.tolist() == [d for _, d in ref]

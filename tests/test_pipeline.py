@@ -267,15 +267,15 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
 
 @pytest.mark.parametrize(
     "seed, fnn_keys",
-    # seed 3 selects m=5 under the defaults and its sweep stops at m=7, short
-    # of the scan; r_tol=3 moves its crossing to m=10, past the scan's onset
+    # seed 3 selects m=5 under the defaults and its sweep stops at m=7; r_tol=3
+    # moves its crossing to m=10, so the compared curve runs to m=12
     [pytest.param(3, {"r_tol": 3.0}, id="3"), pytest.param(7, {}, id="7")],
 )
 def test_noise_artifacts_do_not_depend_on_the_neighbor_search_route(
     tmp_path, monkeypatch, seed, fnn_keys
 ):
-    # high-m noise takes the blocked scan; forcing the k-d tree everywhere
-    # must write the same bytes
+    # a 3 000-point record takes the blocked scan at every m; forcing the
+    # k-d tree everywhere must write the same bytes
     path = write_series(tmp_path / "noise.csv", white_noise(3000, seed).values)
     config = PipelineConfig(input_path=path, output_dir=str(tmp_path / "out"), **fnn_keys)
     scans = []
@@ -289,6 +289,7 @@ def test_noise_artifacts_do_not_depend_on_the_neighbor_search_route(
     routed = artifacts()
     assert scans
     monkeypatch.setattr(neighbors, "_SCAN_CONTRAST", np.inf)
+    monkeypatch.setattr(neighbors, "_SCAN_PAIRS", 0)
     scans.clear()
     assert artifacts() == routed
     assert not scans
