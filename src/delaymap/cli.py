@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -49,7 +49,7 @@ from .pipeline import (
     write_rows,
     write_scaling_csv,
 )
-from .series import MISSING_POLICIES, load_csv
+from .series import MISSING_POLICIES, _read_lines, _read_rows, load_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,26 +66,16 @@ _STATUS_CODES = {
 
 
 @contextmanager
-def _out(path):
-    """Writable text stream for --output; None or '-' means stdout."""
-    if path in (None, "-"):
-        yield sys.stdout
-        sys.stdout.flush()
-    else:
+def _out(path, default):
+    """Writable text stream for --output or --summary: None means
+    `default`, '-' stdout, anything else a file path."""
+    if path not in (None, "-"):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
-
-
-@contextmanager
-def _summary_out(path):
-    """Stream for JSON summaries; default stderr, '-' means stdout."""
-    if path is None:
-        yield sys.stderr
-    elif path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return
+    stream = sys.stdout if path == "-" else default
+    yield stream
+    stream.flush()
 
 
 def _axes_arg(text: str) -> tuple[int, ...]:
@@ -126,7 +116,7 @@ def _load_series(args):
 
 
 def _emit_summary(args, payload: dict) -> None:
-    with _summary_out(args.summary) as out:
+    with _out(args.summary, sys.stderr) as out:
         out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -174,7 +164,7 @@ def _cmd_synth(args, parser):
     described = " ".join(
         f"{k}={v}" for k, v in sorted(params.items())
     )
-    with _out(args.output) as out:
+    with _out(args.output, sys.stdout) as out:
         header = f"# delaymap synth: kind={kind} n={args.n}"
         if kind == "white_noise":
             header += f" seed={args.seed}"
@@ -192,7 +182,7 @@ def _cmd_synth(args, parser):
 def _cmd_ami(args, parser):
     series = _load_series(args)
     curve = ami_curve(series, t_max=args.t_max, bins=args.j_bins)
-    with _out(args.output) as out:
+    with _out(args.output, sys.stdout) as out:
         write_mi_csv(out, curve, args.j_bins, len(series))
     if len(curve) >= 3:
         sel = first_local_minimum(curve)
@@ -216,7 +206,7 @@ def _cmd_fnn(args, parser):
     series = _load_series(args)
     params = fnn_params(args)
     selection = embedding_dimension(series, args.delay, params)
-    with _out(args.output) as out:
+    with _out(args.output, sys.stdout) as out:
         write_fnn_csv(out, selection.curve, args.delay, params)
     _emit_summary(args, {
         "selected_m": selection.m_selected,
@@ -239,7 +229,7 @@ def _cmd_embed(args, parser):
         axes = args.axes
     else:
         axes = tuple(range(cloud.n))
-    with _out(args.output) as out:
+    with _out(args.output, sys.stdout) as out:
         write_cloud_csv(out, cloud, axes)
     return EXIT_OK
 
@@ -277,7 +267,7 @@ def _cmd_entropy(args, parser):
             spread, args.ladder_steps, args.r_coarse_div, args.r_fine_div
         )
     scaling = entropy_scaling(cloud, ladder)
-    with _out(args.output) as out:
+    with _out(args.output, sys.stdout) as out:
         write_scaling_csv(out, scaling, cloud.n)
     return EXIT_OK
 
@@ -287,31 +277,23 @@ def _cmd_entropy(args, parser):
 def _read_scaling_csv(path) -> list[tuple[float, float]]:
     """(r, S) pairs from the first and last cells of each data row.
 
-    Only the first non-comment row may be a header; any later row that is
-    not at least two numeric cells is a load error, never silently dropped.
+    Data rows are those the series loader reads.  Only the first may be a
+    header; any later row that is not at least two numeric cells is a
+    load error, never silently dropped.
     """
+    name, lines = _read_lines(sys.stdin if path == "-" else path)
     entries = []
-    header_allowed = True
-    try:
-        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as stream:
-            for raw in stream:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.split(",")
-                try:
-                    pair = (float(cells[0]), float(cells[-1])) if len(cells) > 1 else None
-                except ValueError:
-                    pair = None
-                if pair is not None and not np.isfinite(pair).all():
-                    raise SeriesLoadError(f"non-finite scaling row in {path}: {line!r}")
-                if pair is not None:
-                    entries.append(pair)
-                elif not header_allowed:
-                    raise SeriesLoadError(f"bad scaling row in {path}: {line!r}")
-                header_allowed = False
-    except OSError as e:
-        raise SeriesLoadError(f"cannot read scaling file {path}: {e}") from e
+    for i, (lineno, row) in enumerate(_read_rows(lines, ",", name)):
+        try:
+            pair = (float(row[0]), float(row[-1])) if len(row) > 1 else None
+        except ValueError:
+            pair = None
+        if pair is not None and not np.isfinite(pair).all():
+            raise SeriesLoadError(f"{name}:{lineno}: non-finite scaling row {','.join(row)!r}")
+        if pair is not None:
+            entries.append(pair)
+        elif i:
+            raise SeriesLoadError(f"{name}:{lineno}: bad scaling row {','.join(row)!r}")
     return entries
 
 
@@ -328,7 +310,7 @@ def _cmd_dimension(args, parser):
         )
         return EXIT_NO_SCALING
     est = information_dimension(EntropyScaling(tuple(entries)), window)
-    with _out(args.output) as out:
+    with _out(args.output, sys.stdout) as out:
         out.write(json.dumps(estimate_json(est), sort_keys=True) + "\n")
     return EXIT_OK
 

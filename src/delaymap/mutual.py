@@ -114,29 +114,6 @@ class DelaySelection:
     fallback_used: bool
 
 
-def _bin_edges_width(series: TimeSeries, j: int) -> tuple[float, float, float]:
-    v = series.values
-    lo = float(v.min())
-    hi = float(v.max())
-    if hi == lo:
-        raise DegenerateSeriesError(
-            "constant series: zero value range, histogram binning undefined"
-        )
-    width = (hi - lo) / j
-    if width <= 0.0 or not np.isfinite(width):
-        raise DegenerateSeriesError(
-            f"value range {hi - lo!r} cannot be split into {j} usable bins"
-        )
-    return lo, hi, width
-
-
-def _bin_indices(values: np.ndarray, lo: float, width: float, j: int) -> np.ndarray:
-    # bin = min(floor((v - lo)/width), j-1): right edge closed on the last
-    # bin only, and float round-up at the top edge is clamped back in.
-    idx = np.floor((values - lo) / width).astype(np.int64)
-    return np.minimum(idx, j - 1)
-
-
 def joint_histogram(series: TimeSeries, lag: int, bins: int = DEFAULT_BINS) -> JointHistogram:
     """Count pairs (x_t, x_{t+lag}) on an equal-width grid.
 
@@ -159,8 +136,22 @@ def _binned(series: TimeSeries, bins: int) -> tuple[np.ndarray, tuple[float, flo
     """(bin index of every sample, (lo, hi)) on the equal-width grid."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    lo, hi, width = _bin_edges_width(series, bins)
-    return _bin_indices(series.values, lo, width, bins), (lo, hi)
+    v = series.values
+    lo = float(v.min())
+    hi = float(v.max())
+    if hi == lo:
+        raise DegenerateSeriesError(
+            "constant series: zero value range, histogram binning undefined"
+        )
+    width = (hi - lo) / bins
+    if width <= 0.0 or not np.isfinite(width):
+        raise DegenerateSeriesError(
+            f"value range {hi - lo!r} cannot be split into {bins} usable bins"
+        )
+    # bin = min(floor((v - lo)/width), bins-1): right edge closed on the
+    # last bin only, and float round-up at the top edge is clamped back in.
+    idx = np.floor((v - lo) / width).astype(np.int64)
+    return np.minimum(idx, bins - 1), (lo, hi)
 
 
 def _lagged_histogram(idx: np.ndarray, lag: int, bins: int, axis_range) -> JointHistogram:

@@ -73,7 +73,7 @@ class PipelineConfig:
     t_max: int | None = None
     m_max: int = FnnParams.m_max
     r_tol: float = FnnParams.r_tol
-    theiler_window: int | None = None
+    theiler_window: int | None = FnnParams.theiler_window
     fnn_threshold: float = FnnParams.fnn_threshold
     ladder_steps: int = DEFAULT_LADDER_STEPS
     r_coarse_div: float = DEFAULT_R_COARSE_DIV

@@ -103,11 +103,10 @@ def load_csv(
 
     Leading missing values are always dropped.
 
-    Unquoted text is split into cells with ``str.split`` and the column
-    is parsed by one ``np.array(cells, dtype=float)``, whose string
-    parser follows ``float()``.  Text with quotes, or a column that
-    fails to parse, goes through a ``csv.reader`` row scan instead, which
-    names the offending line.
+    ``csv.reader`` splits the rows and the selected column is parsed by
+    one ``np.array(cells, dtype=float)``, whose string parser follows
+    ``float()``.  Should that pass fail, a row scan reads the text again
+    and raises the error, naming the offending line.
 
     Args:
         source: path, or an open text stream.
@@ -125,24 +124,8 @@ def load_csv(
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
 
-    # the lines as csv.reader would iterate them
-    stream = hasattr(source, "read")
-    name = getattr(source, "name", "<stream>") if stream else os.fspath(source)
-    try:
-        if stream:
-            lines = list(source)
-        else:
-            with open(name, "r", newline="", encoding="utf-8") as fh:
-                lines = list(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
-
-    parsed = None
-    text = "".join(lines)
-    if _plain_text(text, lines, delimiter, stream):
-        cells = _split_cells(lines, column, skip_header, delimiter, name)
-        if cells is not None:
-            parsed = _parse_cells(cells)
+    name, lines = _read_lines(source)
+    parsed = _parse_column(lines, column, skip_header, delimiter, name)
     if parsed is None:  # the row scan names the line of a bad cell or row
         parsed = _parse_cells(_scan_cells(lines, column, skip_header, delimiter, name))
     values = _apply_missing_policy(*parsed, missing_policy)
@@ -156,36 +139,36 @@ def load_csv(
     return TimeSeries(values, label=label)
 
 
-def _plain_text(text, lines, delimiter, stream):
-    r"""Whether csv.reader's rows are the lines split on the delimiter.
-
-    A newline="" file ends its lines at \n, \r\n or \r, where csv.reader
-    ends its records.  A stream may split at \n only, so one holding a
-    \r goes to the row scan; so does text with quotes, a line longer than
-    csv's field limit, or a delimiter that is not one plain character.
-    """
-    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
-        return False
-    if '"' in text or (stream and "\r" in text):
-        return False
-    limit = csv.field_size_limit()
-    return len(text) <= limit or max(map(len, lines)) <= limit
-
-
-def _split_cells(lines, column, skip_header, delimiter, name):
-    """The stripped cells of the selected column, or None where there is
-    no data row or a row lacks the column (the row scan reports it)."""
-    # rows are split, filtered and reduced to one cell on the fly, so no
-    # list of rows is ever held
-    rows = filter(_is_data_row, map(str.split, lines, itertools.repeat(delimiter)))
-    first = next(rows, None)
-    if first is None:
-        return None
-    col_idx, header_rows = _resolve_column(first, column, skip_header, name)
+def _read_lines(source):
+    """(name, lines) of a path or an open text stream, the lines as
+    csv.reader iterates them; an unreadable or non-UTF-8 source raises
+    SeriesLoadError."""
+    stream = hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if stream else os.fspath(source)
     try:
-        return [row[col_idx].strip() for row in itertools.chain([first][header_rows:], rows)]
-    except IndexError:
+        if stream:
+            return name, list(source)
+        with open(name, "r", newline="", encoding="utf-8") as fh:
+            return name, list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
+
+
+def _parse_column(lines, column, skip_header, delimiter, name):
+    """_parse_cells of the selected column's stripped cells, or None on
+    any fault, which the row scan then reports in its own order."""
+    # rows are filtered and reduced to one cell on the fly, so no list of
+    # rows is ever held
+    rows = filter(_is_data_row, csv.reader(lines, delimiter=delimiter))
+    try:
+        first = next(rows, None)
+        if first is None:
+            return None
+        col_idx, header_rows = _resolve_column(first, column, skip_header, name)
+        cells = [row[col_idx].strip() for row in itertools.chain([first][header_rows:], rows)]
+    except (csv.Error, SeriesLoadError, IndexError, ValueError):
         return None
+    return _parse_cells(cells)
 
 
 def _scan_cells(lines, column, skip_header, delimiter, name):
@@ -224,7 +207,7 @@ def _read_rows(lines, delimiter, name):
     try:
         lineno = 1
         for row in reader:
-            if row and _is_data_row(row):
+            if _is_data_row(row):
                 out.append((lineno, row))
             lineno = reader.line_num + 1
     except csv.Error as exc:
@@ -235,7 +218,7 @@ def _read_rows(lines, delimiter, name):
 def _is_data_row(row):
     """Whether a row has a nonblank cell and is not a '#' comment."""
     # a nonblank first cell settles both, so most rows strip one cell only
-    first = row[0].strip()
+    first = row[0].strip() if row else ""
     return first[:1] != "#" if first else any(map(str.strip, row))
 
 

@@ -206,6 +206,27 @@ def test_dimension_rejects_a_bad_row_after_the_header(tmp_path, capsys, bad_row)
     assert captured.out == ""
 
 
+def test_dimension_skips_the_rows_the_series_loader_skips(tmp_path, capsys):
+    rows = [f"{2.0**-k!r},{float(k)!r},{2.0 * k!r}" for k in range(1, 7)]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("r,log2_inv_r,S_bits\n" + "".join(row + "\n" for row in rows))
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text(
+        "# comment\n,,\nr,log2_inv_r,S_bits\n\n" + "\n  # indented\n,,\n".join(rows) + "\n"
+    )
+    assert main(["dimension", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["dimension", str(gappy)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_dimension_errors_name_the_line(tmp_path, capsys):
+    scaling = tmp_path / "scaling.csv"
+    scaling.write_text("r,log2_inv_r,S_bits\n\n0.5,1.0,1.0\n# note\n0.25,2.0,nan\n")
+    assert main(["dimension", str(scaling)]) == 3
+    assert f"{scaling}:5: non-finite scaling row '0.25,2.0,nan'" in capsys.readouterr().err
+
+
 def test_entropy_box_edge_below_the_lattice_range_exits_1(tmp_path, capsys):
     cloud = tmp_path / "segment.csv"
     cloud.write_text("0.0\n0.5\n1.0\n")
@@ -395,3 +416,26 @@ def test_unreadable_series_text_exits_3(tmp_path, capsys, content, where):
     err = capsys.readouterr().err
     assert code == 3
     assert where in err and "series.csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ami"],
+        ["fnn", "--delay", "1"],
+        ["embed", "--delay", "1", "--dimension", "2"],
+        ["entropy"],
+        ["dimension"],
+        ["pipeline", "--output-dir", "out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_reader_exits_3_on_text_that_is_not_utf_8(tmp_path, capsys, argv):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"0.5,1.0,1.0\n0.25,2.0,\xff2.0\n0.125,3.0,3.0\n0.0625,4.0,4.0\n")
+    command, *flags = argv
+    code = main([command, str(path), *[str(tmp_path / f) if f == "out" else f for f in flags]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert str(path) in captured.err
+    assert captured.out == ""

@@ -1,9 +1,10 @@
 """Text I/O: the series loader against the csv.reader row scan, and the
 repr writers against per-value formatting.
 
-The loader parses plain text in one numpy pass and leaves quoted text and
-bad cells to a row scan; ``oracles.load_csv_rows`` is that row scan on its
-own, so every value, label and error (type and message) must agree.
+The loader splits rows with csv.reader and parses the column in one numpy
+pass; a row scan runs only to report a fault, naming its line.
+``oracles.load_csv_rows`` is that row scan on its own, so every value,
+label and error (type and message) must agree.
 """
 
 import io
@@ -77,6 +78,14 @@ PLAIN_CASES = [
     ("1;2\n3;4\n", {"column": 1, "delimiter": ";"}),
 ]
 
+#: valid quoted text: csv.reader unquotes it, so the numpy pass loads it too
+QUOTED_CASES = [
+    ('x,"y"\n1,"2"\n3,4\n', {"column": "y"}),
+    ('"1.5"\n"2.5"\n3\n', {}),
+    ('"a,b",1\n"c",2\n', {"column": 1}),
+    ('1\n"2\n"\n3\n', {}),
+]
+
 LOADER_CASES = PLAIN_CASES + [
     ("1\n,,\n2\n", {"column": 1}),
     ("1\x0c2\n3\n", {}),
@@ -96,7 +105,10 @@ LOADER_CASES = PLAIN_CASES + [
     ("#" + "x" * 140_000 + "\n1\n2\n", {}),
     ("1\n2\r3\n4\n", {}),
     ('1\n"2\n"\n3\nbogus\n4\n', {}),
-]
+    # two faults: the row scan's (the \r in a stream) is the one reported
+    ("a\n\n\n\r,,\n", {"column": "b"}),
+    ("1\n2\r3\n", {"column": -1}),
+] + QUOTED_CASES[1:]
 
 
 @pytest.mark.parametrize("kind", SOURCES)
@@ -115,7 +127,7 @@ def test_rows_csv_cannot_split_raise_a_load_error_naming_the_line(text, line):
         series_from_text(text)
 
 
-@pytest.mark.parametrize("text, kwargs", PLAIN_CASES)
+@pytest.mark.parametrize("text, kwargs", PLAIN_CASES + QUOTED_CASES)
 def test_plain_text_never_reaches_the_row_scan(tmp_path, monkeypatch, text, kwargs):
     def scan(*args):
         raise AssertionError("row scan used on plain text")
