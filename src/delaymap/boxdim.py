@@ -293,15 +293,19 @@ def default_r_ladder(
     fine_div: float = DEFAULT_R_FINE_DIV,
 ) -> np.ndarray:
     """Geometric ladder of box edges from range/coarse_div down to range/fine_div."""
-    if value_range <= 0:
-        raise ValueError("value range must be positive")
+    if not 0 < value_range < math.inf:
+        raise ValueError("value range must be finite and positive")
     if steps < 2:
         raise ValueError("ladder needs at least 2 steps")
+    if not 0 < coarse_div < fine_div < math.inf:
+        raise ValueError(f"need finite 0 < r_coarse_div < r_fine_div: {coarse_div}, {fine_div}")
     return np.geomspace(value_range / coarse_div, value_range / fine_div, steps)
 
 
 def reference_r(value_range: float, div: float = REFERENCE_R_DIV) -> float:
     """The reporting resolution for the headline entropy number."""
-    if value_range <= 0:
-        raise ValueError("value range must be positive")
+    if not 0 < value_range < math.inf:
+        raise ValueError("value range must be finite and positive")
+    if not 0 < div < math.inf:
+        raise ValueError(f"r_ref_div must be finite and positive, got {div}")
     return value_range / div

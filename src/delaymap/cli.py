@@ -22,6 +22,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from ._version import __version__
 from .boxdim import EntropyScaling, default_r_ladder, entropy_scaling, information_dimension
 from .embedding import EmbeddingParams, cloud_from_points, delay_embed
 from .errors import DelayMapError, ScalingFitError, SeriesLoadError
-from .generators import DEFAULT_TRANSIENT_SKIP, GeneratorSpec, generate
+from .generators import GENERATORS, SETTINGS, GeneratorSpec, SettingError, generate
 from .mutual import ami_curve, first_local_minimum
 from .neighbors import embedding_dimension
 from .pipeline import (
@@ -78,11 +79,22 @@ def _out(path, default):
     stream.flush()
 
 
-def _axes_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad axes list {text!r}") from None
+def _flag_type(hint):
+    """The flag type of an annotation: the type itself, but a tuple reads
+    comma-separated text, one value per element (any count for tuple[X, ...])."""
+    kinds = get_args(hint)
+
+    def parse(text):
+        parts = text.split(",")
+        types = kinds[:1] * len(parts) if kinds[-1] is Ellipsis else kinds
+        try:
+            if len(parts) == len(types):
+                return tuple(kind(part) for kind, part in zip(types, parts))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"bad list {text!r}, need {hint}")
+
+    return parse if get_origin(hint) is tuple else hint
 
 
 _SERIES_FLAGS = ("column", "skip_header", "missing_policy")
@@ -122,57 +134,38 @@ def _emit_summary(args, payload: dict) -> None:
 
 # --------------------------------------------------------------- synth
 
-_SYNTH_PARAMS = {
-    "henon": ("a", "b", "x0", "y0"),
-    "logistic": ("r", "x0"),
-    "lorenz": ("dt", "sigma", "rho", "beta", "initial"),
-    "sine": ("period_samples", "amplitude", "phase"),
-    "white_noise": ("mean", "stddev"),
+#: generator setting -> synth flag (two are shortened), in catalogue order
+_SYNTH_FLAGS = {
+    name: "--" + {"period_samples": "period", "transient_skip": "skip"}.get(name, name)
+    for settings in SETTINGS.values() for name in settings
 }
-_SKIPPED_KINDS = ("henon", "logistic", "lorenz")
+
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per generator setting, typed by its annotation."""
+    for name, flag in _SYNTH_FLAGS.items():
+        uses = [(kind, s[name]) for kind, s in SETTINGS.items() if name in s]
+        shown = ["required" if q.default is q.empty else q.default for _, q in uses]
+        p.add_argument(flag, dest=name, metavar=flag[2:].upper(),
+                       type=_flag_type(uses[0][1].annotation),
+                       help="; ".join(f"{kind}: {d}" for (kind, _), d in zip(uses, shown)))
 
 
 def _cmd_synth(args, parser):
     kind = args.kind
-    allowed = _SYNTH_PARAMS[kind]
-    params = {}
-    for name in set().union(*_SYNTH_PARAMS.values()):
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if name not in allowed:
-            parser.error(f"--{name.replace('_', '-')} does not apply to kind {kind!r}")
-        params[name] = value
-    if "initial" in params:
-        parts = params["initial"].split(",")
-        if len(parts) != 3:
-            parser.error("--initial expects three comma-separated numbers x,y,z")
-        params["initial"] = tuple(float(p) for p in parts)
-    if kind == "white_noise" and args.seed is None:
-        parser.error("white_noise requires --seed")
-    if kind != "white_noise" and args.seed is not None:
-        parser.error(f"--seed does not apply to kind {kind!r}")
-    if kind == "sine" and "period_samples" not in params:
-        parser.error("sine requires --period")
-    skip = args.skip if args.skip is not None else DEFAULT_TRANSIENT_SKIP
-    if args.skip is not None and kind not in _SKIPPED_KINDS:
-        parser.error(f"--skip does not apply to kind {kind!r}")
-    spec = GeneratorSpec(
-        kind=kind, n=args.n, parameters=params, seed=args.seed, transient_skip=skip
-    )
+    given = {k: getattr(args, k) for k in _SYNTH_FLAGS if getattr(args, k) is not None}
+    own_fields = {name: given.pop(name, None) for name in ("seed", "transient_skip")}
+    try:
+        spec = GeneratorSpec(kind, args.n, given, **own_fields)
+    except SettingError as e:
+        flag = _SYNTH_FLAGS[e.setting]
+        parser.error(f"{kind} requires {flag}" if e.missing else f"{kind} does not take {flag}")
     series = generate(spec)
-    described = " ".join(
-        f"{k}={v}" for k, v in sorted(params.items())
-    )
+    full = spec.arguments()
+    shown = [f"{_SYNTH_FLAGS[k][2:]}={full[k]}" for k in own_fields if k in full]
+    shown += [f"{k}={v}" for k, v in sorted(given.items())]
     with _out(args.output, sys.stdout) as out:
-        header = f"# delaymap synth: kind={kind} n={args.n}"
-        if kind == "white_noise":
-            header += f" seed={args.seed}"
-        if kind in _SKIPPED_KINDS:
-            header += f" skip={skip}"
-        if described:
-            header += " " + described
-        out.write(header + "\n")
+        out.write(" ".join([f"# delaymap synth: kind={kind} n={args.n}", *shown]) + "\n")
         write_rows(out, series.values)
     return EXIT_OK
 
@@ -370,19 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark series")
-    p.add_argument("--kind", required=True, choices=sorted(_SYNTH_PARAMS))
+    p.add_argument("--kind", required=True, choices=sorted(GENERATORS))
     p.add_argument("-n", type=int, required=True, help="series length")
-    p.add_argument("--seed", type=int, help="noise seed (white_noise only)")
-    p.add_argument("--skip", type=int, help="transient samples to discard (maps/flows)")
-    for flag, typ in (
-        ("a", float), ("b", float), ("x0", float), ("y0", float), ("r", float),
-        ("dt", float), ("sigma", float), ("rho", float), ("beta", float),
-        ("amplitude", float), ("phase", float), ("mean", float), ("stddev", float),
-    ):
-        p.add_argument(f"--{flag}", type=typ, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--initial", default=None, help="lorenz start point x,y,z")
-    p.add_argument("--period", dest="period_samples", type=int, default=None,
-                   help="sine period in samples")
+    _add_synth_flags(p)
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_synth)
 
@@ -406,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _SERIES_FLAGS)
     p.add_argument("--delay", type=int, required=True)
     p.add_argument("--dimension", type=int, required=True)
-    p.add_argument("--axes", type=_axes_arg, default=None,
+    p.add_argument("--axes", type=_flag_type(tuple[int, ...]), default=None,
                    help="project onto 2 or 3 axes, e.g. 0,1")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_embed)

@@ -8,6 +8,7 @@ then discards that many leading samples before recording begins.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -17,14 +18,8 @@ from .errors import DivergenceError
 from .series import TimeSeries
 
 __all__ = [
-    "GeneratorSpec",
-    "generate",
-    "henon",
-    "logistic",
-    "lorenz",
-    "sine",
-    "white_noise",
-    "DEFAULT_TRANSIENT_SKIP",
+    "GENERATORS", "SETTINGS", "GeneratorSpec", "SettingError", "generate",
+    "henon", "logistic", "lorenz", "sine", "white_noise", "DEFAULT_TRANSIENT_SKIP",
 ]
 
 DEFAULT_TRANSIENT_SKIP = 1000
@@ -135,8 +130,7 @@ def sine(
     land on the same reconstructed points instead of drifting by
     accumulated rounding.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_emission(n)
     if period_samples < 2:
         raise ValueError(f"period must be >= 2 samples, got {period_samples}")
     i = np.arange(n) % period_samples
@@ -175,8 +169,7 @@ def white_noise(
     (log/cos/sin), which is bit-stable on any one platform and matches
     across platforms with correctly-rounded math libraries.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_emission(n)
     if not stddev > 0:
         raise ValueError(f"stddev must be positive, got {stddev}")
     pairs = (n + 1) // 2
@@ -195,50 +188,70 @@ def white_noise(
     return TimeSeries(mean + stddev * out[:n], label="white_noise")
 
 
-_KINDS = ("henon", "logistic", "lorenz", "sine", "white_noise")
+#: kind -> generator.  A kind's settings are its generator's keyword
+#: parameters after n: GeneratorSpec takes exactly those, and `delaymap
+#: synth` has a flag for each.
+GENERATORS = {fn.__name__: fn for fn in (henon, logistic, lorenz, sine, white_noise)}
+#: kind -> {setting name: inspect.Parameter}, annotations resolved
+SETTINGS = {
+    kind: dict(list(inspect.signature(fn, eval_str=True).parameters.items())[1:])
+    for kind, fn in GENERATORS.items()
+}
+
+
+class SettingError(ValueError):
+    """A setting that a kind does not take, or a required one left out."""
+
+    def __init__(self, kind: str, setting: str, missing: bool):
+        super().__init__(f"{kind} {'requires' if missing else 'does not take'} {setting!r}")
+        self.setting, self.missing = setting, missing
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Declarative recipe for one synthetic series.
 
-    parameters carries the per-kind keyword arguments (e.g. {"a": 1.4}
-    for henon, {"period_samples": 50} for sine); seed applies to
-    white_noise only.
+    parameters carries the kind's settings by name (e.g. {"a": 1.4} for
+    henon, {"period_samples": 50} for sine), except seed and
+    transient_skip, which have fields of their own; None leaves one out,
+    so transient_skip=None means the generator's own default.  A setting
+    the kind does not take, or a required one left out, raises
+    SettingError (a ValueError) here, not when generating.
     """
 
     kind: str
     n: int
     parameters: dict = field(default_factory=dict)
     seed: int | None = None
-    transient_skip: int = DEFAULT_TRANSIENT_SKIP
+    transient_skip: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}; pick from {_KINDS}")
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.transient_skip < 0:
-            raise ValueError("transient_skip must be >= 0")
-        if self.kind == "white_noise" and self.seed is None:
-            raise ValueError("white_noise requires a seed")
+        if self.kind not in GENERATORS:
+            raise ValueError(f"unknown kind {self.kind!r}; pick from {tuple(GENERATORS)}")
+        self.arguments()
+        _check_emission(self.n, self.transient_skip or 0)
+
+    def arguments(self) -> dict:
+        """Every setting of the kind's generator, defaults filled in."""
+        settings, given = SETTINGS[self.kind], dict(self.parameters)
+        for name in ("seed", "transient_skip"):
+            if name in given:
+                raise ValueError(f"give {name} as its own GeneratorSpec field")
+            if getattr(self, name) is not None:
+                given[name] = getattr(self, name)
+        unknown = [name for name in given if name not in settings]
+        missing = [k for k, p in settings.items() if k not in given and p.default is p.empty]
+        for name in unknown or missing:
+            raise SettingError(self.kind, name, missing=not unknown)
+        return {name: given.get(name, p.default) for name, p in settings.items()}
 
 
 def generate(spec: GeneratorSpec) -> TimeSeries:
     """Run the generator a GeneratorSpec describes."""
-    kw = dict(spec.parameters)
-    if spec.kind == "henon":
-        return henon(spec.n, transient_skip=spec.transient_skip, **kw)
-    if spec.kind == "logistic":
-        return logistic(spec.n, transient_skip=spec.transient_skip, **kw)
-    if spec.kind == "lorenz":
-        return lorenz(spec.n, transient_skip=spec.transient_skip, **kw)
-    if spec.kind == "sine":
-        return sine(spec.n, **kw)
-    return white_noise(spec.n, seed=spec.seed, **kw)
+    return GENERATORS[spec.kind](spec.n, **spec.arguments())
 
 
-def _check_emission(n: int, transient_skip: int) -> None:
+def _check_emission(n: int, transient_skip: int = 0) -> None:
     if n < 2:
         raise ValueError("need n >= 2")
     if transient_skip < 0:

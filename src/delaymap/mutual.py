@@ -134,8 +134,7 @@ def joint_histogram(series: TimeSeries, lag: int, bins: int = DEFAULT_BINS) -> J
 
 def _binned(series: TimeSeries, bins: int) -> tuple[np.ndarray, tuple[float, float]]:
     """(bin index of every sample, (lo, hi)) on the equal-width grid."""
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
+    check_bins(bins)
     v = series.values
     lo = float(v.min())
     hi = float(v.max())
@@ -152,6 +151,11 @@ def _binned(series: TimeSeries, bins: int) -> tuple[np.ndarray, tuple[float, flo
     # last bin only, and float round-up at the top edge is clamped back in.
     idx = np.floor((v - lo) / width).astype(np.int64)
     return np.minimum(idx, bins - 1), (lo, hi)
+
+
+def check_bins(bins: int) -> None:
+    if bins < 2:
+        raise ValueError(f"need at least 2 bins, got {bins}")
 
 
 def _lagged_histogram(idx: np.ndarray, lag: int, bins: int, axis_range) -> JointHistogram:

@@ -28,9 +28,9 @@ from .boxdim import (
 )
 from .embedding import EmbeddingParams, PointCloud, delay_embed
 from .errors import ScalingFitError
-from .mutual import DEFAULT_BINS, MICurve, ami_curve, first_local_minimum
+from .mutual import DEFAULT_BINS, MICurve, ami_curve, check_bins, first_local_minimum
 from .neighbors import FnnCurve, FnnParams, embedding_dimension
-from .series import MISSING_POLICIES, TimeSeries, load_csv, stats
+from .series import MISSING_POLICIES, TimeSeries, check_missing_policy, load_csv, stats
 
 __all__ = [
     "PipelineConfig",
@@ -87,23 +87,15 @@ class PipelineConfig:
     timestamp: bool = False
 
     def __post_init__(self):
-        if self.ladder_steps < 2:
-            raise ValueError("ladder_steps must be >= 2")
-        if not 0 < self.r_coarse_div < self.r_fine_div:
-            raise ValueError("need 0 < r_coarse_div < r_fine_div (coarse to fine)")
-        if self.r_ref_div <= 0:
-            raise ValueError("r_ref_div must be positive")
+        # each key is checked by the function that uses it
+        check_missing_policy(self.missing_policy)
+        check_bins(self.j_bins)
+        fnn_params(self)
+        default_r_ladder(1.0, self.ladder_steps, self.r_coarse_div, self.r_fine_div)
+        reference_r(1.0, self.r_ref_div)
         fit_range(self.fit_r_lo, self.fit_r_hi)
-        fnn_params(self)  # FnnParams checks the FNN keys
-        if self.missing_policy not in MISSING_POLICIES:
-            raise ValueError(
-                f"missing_policy must be one of {', '.join(MISSING_POLICIES)}, "
-                f"got {self.missing_policy!r}"
-            )
-        if self.fixed_delay is not None and self.fixed_delay < 1:
-            raise ValueError("fixed_delay must be >= 1")
-        if self.fixed_dimension is not None and self.fixed_dimension < 1:
-            raise ValueError("fixed_dimension must be >= 1")
+        fixed = (self.fixed_delay, self.fixed_dimension)
+        EmbeddingParams(*(1 if v is None else v for v in fixed))
 
 
 @dataclass

@@ -121,9 +121,7 @@ def load_csv(
         SeriesLoadError: unreadable file, column not found, non-numeric
             cell, or fewer than 2 values after the policy.
     """
-    if missing_policy not in MISSING_POLICIES:
-        raise ValueError(f"unknown missing_policy {missing_policy!r}")
-
+    check_missing_policy(missing_policy)
     name, lines = _read_lines(source)
     parsed = _parse_column(lines, column, skip_header, delimiter, name)
     if parsed is None:  # the row scan names the line of a bad cell or row
@@ -251,6 +249,11 @@ def _parse_cells(cells):
     if not np.isfinite(values).all():
         return None
     return values, missing
+
+
+def check_missing_policy(policy: str) -> None:
+    if policy not in MISSING_POLICIES:
+        raise ValueError(f"unknown missing_policy {policy!r}")
 
 
 def _apply_missing_policy(values, missing, policy):

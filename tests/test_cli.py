@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 import sys
 import warnings
 
@@ -69,6 +70,20 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_synth_help_lists_one_flag_per_generator_setting(capsys):
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    assert set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)) == {
+        "--kind", "--output", "--a", "--b", "--x0", "--y0", "--r", "--dt", "--sigma", "--rho",
+        "--beta", "--initial", "--period", "--amplitude", "--phase", "--seed", "--mean",
+        "--stddev", "--skip",
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--kind", "henon", "-n", "50", "--period", "3"])
+    assert exc.value.code == 2
+    assert "henon does not take --period" in capsys.readouterr().err
 
 
 def test_synth_then_ami_chain(tmp_path, capsys):
@@ -233,6 +248,15 @@ def test_entropy_box_edge_below_the_lattice_range_exits_1(tmp_path, capsys):
     code = main(["entropy", str(cloud), "--r-values", "1e-25"])
     assert code == 1
     assert "int64" in capsys.readouterr().err
+    # default ladders whose divisors cannot give box edges
+    for flags in (["--r-coarse-div", "0"], ["--r-fine-div", "0"], ["--r-coarse-div", "-4"],
+                  ["--r-fine-div", "nan"], ["--r-coarse-div", "1024"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["entropy", str(cloud), *flags])
+        err = capsys.readouterr().err
+        assert code == 1, flags
+        assert err.startswith("error: ") and "r_coarse_div" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["ami", "entropy", "dimension"])
@@ -349,6 +373,9 @@ def test_pipeline_rejects_a_bad_config_before_any_stage(tmp_path, capsys):
     assert main(["pipeline", path, "--output-dir", str(out), "--r-tol", "-1"]) == 1
     assert "r_tol" in capsys.readouterr().err
     assert not (out / "mi_curve.csv").exists()
+    assert not out.exists()
+    assert main(["pipeline", path, "--output-dir", str(out), "--j-bins", "1"]) == 1
+    assert "bins" in capsys.readouterr().err
     assert not out.exists()
 
     cfg = tmp_path / "run.cfg"

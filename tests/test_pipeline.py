@@ -215,9 +215,12 @@ def test_config_validation():
         PipelineConfig(input_path="x", fixed_delay=0)
     with pytest.raises(ValueError):
         PipelineConfig(input_path="x", fixed_dimension=0)
-    # the FNN keys and the missing-value policy are checked up front too
+    # the FNN keys, the bins, the divisors and the missing-value policy
+    # are checked up front too
     for bad in ({"r_tol": -1.0}, {"m_max": 0}, {"theiler_window": -1},
-                {"fnn_threshold": 1.5}, {"missing_policy": "bogus"}):
+                {"fnn_threshold": 1.5}, {"missing_policy": "bogus"}, {"j_bins": 1},
+                {"r_ref_div": 0.0}, {"r_ref_div": float("inf")}, {"r_fine_div": float("inf")},
+                {"r_coarse_div": float("nan")}):
         with pytest.raises(ValueError):
             PipelineConfig(input_path="x", **bad)
 

@@ -224,6 +224,17 @@ def test_spec_validation():
         GeneratorSpec(kind="henon", n=100, transient_skip=-1)
     with pytest.raises(ValueError):
         GeneratorSpec(kind="white_noise", n=100)  # no seed
+    # every setting is checked against the kind's generator signature
+    for bad in (
+        {"kind": "henon", "seed": 5},
+        {"kind": "sine", "parameters": {"period_samples": 8}, "transient_skip": 7},
+        {"kind": "white_noise", "seed": 1, "transient_skip": 7},
+        {"kind": "henon", "parameters": {"r": 3.0}},
+        {"kind": "sine"},  # no period_samples
+        {"kind": "white_noise", "seed": 1, "parameters": {"seed": 2}},  # seed has a field
+    ):
+        with pytest.raises(ValueError):
+            GeneratorSpec(n=100, **bad)
 
 
 def test_generate_matches_direct_calls():
