@@ -28,7 +28,7 @@ import numpy as np
 
 from ._version import __version__
 from .boxdim import EntropyScaling, default_r_ladder, entropy_scaling, information_dimension
-from .embedding import EmbeddingParams, cloud_from_points, delay_embed
+from .embedding import EmbeddingParams, check_axes, cloud_from_points, delay_embed
 from .errors import DelayMapError, ScalingFitError, SeriesLoadError
 from .generators import GENERATORS, SETTINGS, GeneratorSpec, SettingError, generate
 from .mutual import ami_curve, first_local_minimum
@@ -177,20 +177,16 @@ def _cmd_ami(args, parser):
     curve = ami_curve(series, t_max=args.t_max, bins=args.j_bins)
     with _out(args.output, sys.stdout) as out:
         write_mi_csv(out, curve, args.j_bins, len(series))
+    summary = dict.fromkeys(("selected_lag", "fallback_used", "bits_at_selected"))
     if len(curve) >= 3:
         sel = first_local_minimum(curve)
-        _emit_summary(args, {
+        summary = {
             "selected_lag": sel.lag,
             "fallback_used": sel.fallback_used,
             "bits_at_selected": float(curve.bits[sel.lag - 1]),
-        })
-        return EXIT_NO_DELAY_MINIMUM if sel.fallback_used else EXIT_OK
-    _emit_summary(args, {
-        "selected_lag": None,
-        "fallback_used": None,
-        "bits_at_selected": None,
-    })
-    return EXIT_OK
+        }
+    _emit_summary(args, summary)
+    return EXIT_NO_DELAY_MINIMUM if summary["fallback_used"] else EXIT_OK
 
 
 # ----------------------------------------------------------------- fnn
@@ -214,16 +210,12 @@ def _cmd_embed(args, parser):
     series = _load_series(args)
     cloud = delay_embed(series, EmbeddingParams(args.delay, args.dimension))
     if args.axes is not None:
-        if len(args.axes) not in (2, 3):
-            parser.error("--axes takes 2 or 3 comma-separated indices")
-        for a in args.axes:
-            if not 0 <= a < cloud.n:
-                parser.error(f"axis {a} out of range for dimension {cloud.n}")
-        axes = args.axes
-    else:
-        axes = tuple(range(cloud.n))
+        try:
+            check_axes(cloud, args.axes)
+        except ValueError as e:
+            parser.error(f"--axes: {e}")
     with _out(args.output, sys.stdout) as out:
-        write_cloud_csv(out, cloud, axes)
+        write_cloud_csv(out, cloud, args.axes or tuple(range(cloud.n)))
     return EXIT_OK
 
 
@@ -247,12 +239,8 @@ def _load_cloud(path):
 
 def _cmd_entropy(args, parser):
     cloud = _load_cloud(args.input)
-    if args.r_values is not None:
-        try:
-            ladder = [float(p) for p in args.r_values.split(",")]
-        except ValueError:
-            parser.error(f"bad --r-values list {args.r_values!r}")
-    else:
+    ladder = args.r_values
+    if ladder is None:
         spread = float(np.ptp(cloud.points, axis=0).max())
         if spread <= 0.0:
             raise DelayMapError("cloud has zero spread on every axis; pass --r-values")
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="box entropies S(r) of a point cloud")
     p.add_argument("input", help="cloud CSV (embed output), or '-'")
-    p.add_argument("--r-values", default=None,
+    p.add_argument("--r-values", type=_flag_type(tuple[float, ...]), default=None,
                    help="explicit comma-separated box edges, coarse to fine")
     _add_config_flags(p, ("ladder_steps", "r_coarse_div", "r_fine_div"))
     p.add_argument("--output", default="-")

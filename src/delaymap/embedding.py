@@ -115,14 +115,19 @@ def cloud_from_points(points) -> PointCloud:
     return PointCloud(pts, dim, m + (dim - 1), EmbeddingParams(1, dim))
 
 
-def project(cloud: PointCloud, axes: Sequence[int]) -> np.ndarray:
-    """Select 2 or 3 coordinates of every point, order preserved.
-
-    Duplicate axes are allowed (diagonal plots).
-    """
+def check_axes(cloud: PointCloud, axes: Sequence[int]) -> None:
+    """Raise ValueError unless ``axes`` are 2 or 3 valid axes of the cloud."""
     if len(axes) not in (2, 3):
         raise ValueError(f"projection takes 2 or 3 axes, got {len(axes)}")
     for a in axes:
         if not 0 <= a < cloud.n:
             raise ValueError(f"axis {a} out of range for {cloud.n}-D cloud")
+
+
+def project(cloud: PointCloud, axes: Sequence[int]) -> np.ndarray:
+    """Select 2 or 3 coordinates of every point, order preserved.
+
+    Duplicate axes are allowed (diagonal plots).
+    """
+    check_axes(cloud, axes)
     return cloud.points[:, list(axes)].copy()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +132,7 @@ def sine(
     accumulated rounding.
     """
     _check_emission(n)
-    if period_samples < 2:
+    if _integer("period_samples", period_samples) < 2:
         raise ValueError(f"period must be >= 2 samples, got {period_samples}")
     i = np.arange(n) % period_samples
     return TimeSeries(
@@ -172,6 +173,7 @@ def white_noise(
     _check_emission(n)
     if not stddev > 0:
         raise ValueError(f"stddev must be positive, got {stddev}")
+    seed = _integer("seed", seed)
     pairs = (n + 1) // 2
     ks = np.uint64(seed & _MASK64) + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN
     z = ks
@@ -215,8 +217,8 @@ class GeneratorSpec:
     henon, {"period_samples": 50} for sine), except seed and
     transient_skip, which have fields of their own; None leaves one out,
     so transient_skip=None means the generator's own default.  A setting
-    the kind does not take, or a required one left out, raises
-    SettingError (a ValueError) here, not when generating.
+    the kind does not take or a required one left out (SettingError), or
+    a non-integer int setting, raises ValueError here, not when generating.
     """
 
     kind: str
@@ -228,7 +230,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATORS:
             raise ValueError(f"unknown kind {self.kind!r}; pick from {tuple(GENERATORS)}")
-        self.arguments()
+        for name, value in self.arguments().items():
+            if SETTINGS[self.kind][name].annotation is int:
+                _integer(name, value)
         _check_emission(self.n, self.transient_skip or 0)
 
     def arguments(self) -> dict:
@@ -251,8 +255,16 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
     return GENERATORS[spec.kind](spec.n, **spec.arguments())
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: numpy integers pass, a float such as 2.5 is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_emission(n: int, transient_skip: int = 0) -> None:
-    if n < 2:
+    if _integer("n", n) < 2:
         raise ValueError("need n >= 2")
-    if transient_skip < 0:
+    if _integer("transient_skip", transient_skip) < 0:
         raise ValueError("transient_skip must be >= 0")

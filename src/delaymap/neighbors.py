@@ -135,9 +135,6 @@ class FnnCurve:
         if not ms or ms[0] != 1 or any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("curve dimensions must increase strictly from 1")
 
-    def fractions(self) -> np.ndarray:
-        return np.array([e.fraction for e in self.entries])
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -155,7 +152,10 @@ class DimensionSelection:
 
     m_selected: int | None
     curve: FnnCurve
-    found: bool
+
+    @property
+    def found(self) -> bool:
+        return self.m_selected is not None
 
 
 def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,4 +444,4 @@ def embedding_dimension(
         entries.append(entry)
         if m_selected is None and entry.fraction <= params.fnn_threshold:
             m_selected = m
-    return DimensionSelection(m_selected, FnnCurve(tuple(entries)), m_selected is not None)
+    return DimensionSelection(m_selected, FnnCurve(tuple(entries)))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import TextIO, get_args, get_type_hints
 
@@ -30,7 +30,7 @@ from .embedding import EmbeddingParams, PointCloud, delay_embed
 from .errors import ScalingFitError
 from .mutual import DEFAULT_BINS, MICurve, ami_curve, check_bins, first_local_minimum
 from .neighbors import FnnCurve, FnnParams, embedding_dimension
-from .series import MISSING_POLICIES, TimeSeries, check_missing_policy, load_csv, stats
+from .series import MISSING_POLICIES, check_missing_policy, load_csv, stats
 
 __all__ = [
     "PipelineConfig",
@@ -100,23 +100,31 @@ class PipelineConfig:
 
 @dataclass
 class PipelineReport:
-    status: str
+    """What one run found, built once the series is loaded and filled in
+    by each stage as it finishes; a stage skipped or never reached leaves
+    its fields at their defaults."""
+
     config: PipelineConfig
     n_samples: int
     series_label: str
-    selected_delay: int | None
-    delay_fallback_used: bool
-    delay_source: str
-    selected_dimension: int | None
-    dimension_found: bool
-    dimension_source: str
-    entropy_bits: float | None
-    r_ref: float | None
-    estimate: DimensionEstimate | None
-    artifacts: dict[str, str]
-    timestamp: str | None
+    timestamp: str | None = None
+    status: str | None = None
+    selected_delay: int | None = None
+    delay_fallback_used: bool = False
+    delay_source: str = "ami"
+    selected_dimension: int | None = None
+    dimension_source: str = "fnn"
+    entropy_bits: float | None = None
+    r_ref: float | None = None
+    estimate: DimensionEstimate | None = None
+    artifacts: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def dimension_found(self) -> bool:
+        return self.selected_dimension is not None
 
     def to_json(self) -> str:
+        """report.json's text, with numpy scalars written as plain numbers."""
         est = None if self.estimate is None else estimate_json(self.estimate)
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
@@ -128,7 +136,7 @@ class PipelineReport:
                 "n_samples": self.n_samples,
                 "label": self.series_label,
             },
-            "config": _jsonable(asdict(self.config)),
+            "config": asdict(self.config),
             "delay": {
                 "selected": self.selected_delay,
                 "fallback_used": self.delay_fallback_used,
@@ -144,11 +152,11 @@ class PipelineReport:
                 "bits": self.entropy_bits,
             },
             "information_dimension": est,
-            "artifacts": self.artifacts,
+            "artifacts": {**self.artifacts, "report": "report.json"},  # lists itself
         }
         if self.timestamp is not None:
             doc["generated_at"] = self.timestamp
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, default=lambda v: v.item()) + "\n"
 
 
 def fit_range(r_lo: float | None, r_hi: float | None) -> tuple[float, float] | None:
@@ -176,19 +184,6 @@ def estimate_json(est: DimensionEstimate) -> dict:
         "fit_range": [float(v) for v in est.fit_range],
         "points_used": int(est.points_used),
     }
-
-
-def _jsonable(value):
-    """Recursively turn numpy scalars into plain Python numbers."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
 
 
 def _fmt(v) -> str:
@@ -261,11 +256,12 @@ def write_scaling_csv(out: TextIO, scaling: EntropyScaling, dimension: int) -> N
         out.write(f"{_fmt(r)},{_fmt(-np.log2(r))},{_fmt(s)}\n")
 
 
-def _write_artifact(directory: str, name: str, writer) -> str:
-    path = os.path.join(directory, name)
+def _write_artifact(report: PipelineReport, name: str, writer) -> None:
+    """Write one file into the output directory and list it on the report."""
+    path = os.path.join(report.config.output_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer(fh)
-    return name
+    report.artifacts[os.path.splitext(name)[0]] = name
 
 
 @contextmanager
@@ -275,28 +271,20 @@ def _stage(name: str):
         yield
     except BaseException as exc:
         if not hasattr(exc, "stage"):
-            try:
+            with suppress(AttributeError):  # not every exception takes attributes
                 exc.stage = name
-            except AttributeError:
-                pass
         raise
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Run every stage the config asks for and write all artifacts.
 
-    Returns a report whose ``status`` distinguishes a clean run from the
-    two early stops (no embedding dimension found, not enough scaling
-    points).  Load failures and unexpected stage errors raise; the
-    exception carries a ``stage`` attribute naming where it happened.
+    Returns the report the stages filled in; its ``status`` tells a clean
+    run from the two early stops (no embedding dimension found, not
+    enough scaling points).  Load failures and unexpected stage errors
+    raise, with a ``stage`` attribute naming where it happened.
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    artifacts: dict[str, str] = {}
-    stamp = (
-        datetime.now(timezone.utc).isoformat(timespec="seconds")
-        if config.timestamp
-        else None
-    )
 
     with _stage("load"):
         series = load_csv(
@@ -306,74 +294,52 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             missing_policy=config.missing_policy,
         )
         series_stats = stats(series)
+    report = PipelineReport(config, len(series), series.label)
+    if config.timestamp:
+        report.timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
-    delay_fallback = False
+    def finish(status: str) -> PipelineReport:
+        """Write report.json for a run that ends here, and return the report."""
+        report.status = status
+        # rendered first, so a failed render leaves no empty report.json
+        text = report.to_json()
+        _write_artifact(report, "report.json", lambda fh: fh.write(text))
+        return report
+
     if config.fixed_delay is not None:
-        delay = config.fixed_delay
-        delay_source = "fixed"
+        report.selected_delay, report.delay_source = config.fixed_delay, "fixed"
     else:
         with _stage("delay"):
             curve = ami_curve(series, t_max=config.t_max, bins=config.j_bins)
             selection = first_local_minimum(curve)
-            delay = selection.lag
-            delay_fallback = selection.fallback_used
-            artifacts["mi_curve"] = _write_artifact(
-                config.output_dir,
+            report.selected_delay = selection.lag
+            report.delay_fallback_used = selection.fallback_used
+            _write_artifact(
+                report,
                 "mi_curve.csv",
                 lambda fh: write_mi_csv(fh, curve, config.j_bins, len(series)),
             )
-        delay_source = "ami"
-
-    def finish(status, dimension=None, dim_source="fnn",
-               entropy_bits=None, r_ref=None, estimate=None) -> PipelineReport:
-        """Write report.json for a run that ends here, and return the report."""
-        artifacts["report"] = "report.json"
-        rep = PipelineReport(
-            status=status,
-            config=config,
-            n_samples=len(series),
-            series_label=series.label,
-            selected_delay=delay,
-            delay_fallback_used=delay_fallback,
-            delay_source=delay_source,
-            selected_dimension=dimension,
-            dimension_found=dimension is not None,
-            dimension_source=dim_source,
-            entropy_bits=entropy_bits,
-            r_ref=r_ref,
-            estimate=estimate,
-            artifacts=artifacts,
-            timestamp=stamp,
-        )
-        _write_artifact(config.output_dir, "report.json", lambda fh: fh.write(rep.to_json()))
-        return rep
-
-    fnn = fnn_params(config)
 
     if config.fixed_dimension is not None:
-        dimension = config.fixed_dimension
-        dim_source = "fixed"
+        report.selected_dimension, report.dimension_source = config.fixed_dimension, "fixed"
     else:
         with _stage("dimension"):
-            selection = embedding_dimension(series, delay, fnn)
-            artifacts["fnn_curve"] = _write_artifact(
-                config.output_dir,
+            fnn = fnn_params(config)
+            selection = embedding_dimension(series, report.selected_delay, fnn)
+            _write_artifact(
+                report,
                 "fnn_curve.csv",
-                lambda fh: write_fnn_csv(fh, selection.curve, delay, fnn),
+                lambda fh: write_fnn_csv(fh, selection.curve, report.selected_delay, fnn),
             )
             if not selection.found:
                 return finish(STATUS_NO_DIMENSION)
-            dimension = selection.m_selected
-        dim_source = "fnn"
+            report.selected_dimension = selection.m_selected
 
     with _stage("embed"):
-        cloud = delay_embed(series, EmbeddingParams(delay, dimension))
-        axes = tuple(range(min(dimension, 3)))
-        artifacts["attractor"] = _write_artifact(
-            config.output_dir,
-            "attractor.csv",
-            lambda fh: write_cloud_csv(fh, cloud, axes),
-        )
+        params = EmbeddingParams(report.selected_delay, report.selected_dimension)
+        cloud = delay_embed(series, params)
+        axes = tuple(range(min(cloud.n, 3)))
+        _write_artifact(report, "attractor.csv", lambda fh: write_cloud_csv(fh, cloud, axes))
 
     with _stage("entropy"):
         vr = series_stats.value_range
@@ -381,24 +347,22 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             vr, config.ladder_steps, config.r_coarse_div, config.r_fine_div
         )
         scaling = entropy_scaling(cloud, ladder)
-        artifacts["entropy_scaling"] = _write_artifact(
-            config.output_dir,
+        _write_artifact(
+            report,
             "entropy_scaling.csv",
-            lambda fh: write_scaling_csv(fh, scaling, dimension),
+            lambda fh: write_scaling_csv(fh, scaling, cloud.n),
         )
-        r_ref = reference_r(vr, config.r_ref_div)
-        entropy_bits = shannon_entropy(partition_boxes(cloud, r_ref))
+        report.r_ref = reference_r(vr, config.r_ref_div)
+        report.entropy_bits = shannon_entropy(partition_boxes(cloud, report.r_ref))
 
     with _stage("dimension_fit"):
         try:
-            estimate = information_dimension(
+            report.estimate = information_dimension(
                 scaling, fit_range(config.fit_r_lo, config.fit_r_hi)
             )
-            status = STATUS_OK
         except ScalingFitError:
-            estimate, status = None, STATUS_INSUFFICIENT_SCALING
-
-    return finish(status, dimension, dim_source, entropy_bits, r_ref, estimate)
+            return finish(STATUS_INSUFFICIENT_SCALING)
+    return finish(STATUS_OK)
 
 
 def _index_or_name(text: str) -> int | str:

@@ -166,6 +166,15 @@ def test_embed_axes_validation_exits_2(tmp_path):
         assert exc.value.code == 2
 
 
+def test_entropy_bad_r_values_exits_2(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("0.0,0.0\n1.0,1.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", str(cloud), "--r-values", "0.5,x"])
+    assert exc.value.code == 2
+    assert "--r-values" in capsys.readouterr().err
+
+
 def test_entropy_on_a_cloud_file(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     cloud.write_text("0.0,0.0\n1.0,1.0\n")

@@ -21,6 +21,7 @@ from delaymap.pipeline import (
     STATUS_NO_DIMENSION,
     STATUS_OK,
     PipelineConfig,
+    PipelineReport,
     coerce_config_value,
     fnn_params,
     parse_key_value_config,
@@ -167,6 +168,31 @@ def test_identical_runs_are_byte_identical(tmp_path, monkeypatch):
     assert sorted(first) == sorted(second)
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
+
+
+def test_numpy_scalars_in_a_config_write_the_same_report(tmp_path, monkeypatch, sine_csv):
+    plain = dict(fixed_delay=1, fixed_dimension=2, skip_header=False, r_tol=10.0)
+    scalars = dict(fixed_delay=np.int64(1), fixed_dimension=np.int64(2),
+                   skip_header=np.False_, r_tol=np.float64(10.0))
+    reports = []
+    for sub, knobs in (("plain", plain), ("numpy", scalars)):
+        (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / sub)
+        rep = run_pipeline(PipelineConfig(input_path=sine_csv, output_dir=".", **knobs))
+        assert rep.status == STATUS_OK
+        reports.append((tmp_path / sub / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_a_report_that_fails_to_render_leaves_no_report_file(tmp_path, monkeypatch, sine_csv):
+    def broken(self):
+        raise TypeError("cannot render")
+
+    monkeypatch.setattr(PipelineReport, "to_json", broken)
+    with pytest.raises(TypeError):
+        run_pipeline(PipelineConfig(input_path=sine_csv, output_dir=str(tmp_path)))
+    assert (tmp_path / "entropy_scaling.csv").is_file()
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_timestamp_flag_adds_generated_at(tmp_path, sine_csv):

@@ -155,6 +155,18 @@ def test_sine_validation():
         sine(10, 1)
     with pytest.raises(ValueError):
         sine(1, 4)
+    # an integer setting refuses a float instead of truncating it
+    for call, setting in (
+        (lambda: sine(8, 2.5), "period_samples"),
+        (lambda: henon(5, transient_skip=2.5), "transient_skip"),
+        (lambda: henon(10.0), "n"),
+        (lambda: white_noise(10, 2.5), "seed"),
+    ):
+        with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
+            call()
+    # numpy integers are integers
+    assert np.array_equal(sine(8, np.int64(4)).values, sine(8, 4).values)
+    assert np.array_equal(white_noise(9, np.int64(3)).values, white_noise(9, 3).values)
 
 
 # ---------------------------------------------------------- white noise
@@ -235,6 +247,17 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError):
             GeneratorSpec(n=100, **bad)
+    # an int setting must be an integer, named in the error
+    for bad, setting in (
+        ({"kind": "sine", "n": 8, "parameters": {"period_samples": 2.5}}, "period_samples"),
+        ({"kind": "henon", "n": 5, "transient_skip": 2.5}, "transient_skip"),
+        ({"kind": "henon", "n": 10.0}, "n"),
+        ({"kind": "white_noise", "n": 10, "seed": 2.5}, "seed"),
+    ):
+        with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
+            GeneratorSpec(**bad)
+    spec = GeneratorSpec("sine", 8, {"period_samples": np.int64(4)})
+    assert np.array_equal(generate(spec).values, sine(8, 4).values)
 
 
 def test_generate_matches_direct_calls():
