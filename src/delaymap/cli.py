@@ -403,6 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, [n for n in CONFIG_TYPES if n != "input_path"], defaults=False)
     p.set_defaults(func=_cmd_pipeline)
 
+    # a command's own usage errors print that command's usage line
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except SeriesLoadError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LOAD_FAILED

@@ -41,10 +41,7 @@ def henon(
     Raises DivergenceError (with the 1-based iteration count, transient
     included) if the orbit leaves |x| < 1e6.
     """
-    _check_emission(n, transient_skip)
-    for name, v in (("a", a), ("b", b), ("x0", x0), ("y0", y0)):
-        if not math.isfinite(v):
-            raise ValueError(f"parameter {name} must be finite")
+    _check_henon(n, a, b, x0, y0, transient_skip)
     x, y = float(x0), float(y0)
     out = np.empty(n)
     for i in range(-transient_skip, n):
@@ -59,6 +56,13 @@ def henon(
     return TimeSeries(out, label="henon")
 
 
+def _check_henon(n, a, b, x0, y0, transient_skip):
+    _check_emission(n, transient_skip)
+    for name, v in (("a", a), ("b", b), ("x0", x0), ("y0", y0)):
+        if not math.isfinite(v):
+            raise ValueError(f"parameter {name} must be finite")
+
+
 def logistic(
     n: int,
     r: float = 4.0,
@@ -66,11 +70,7 @@ def logistic(
     transient_skip: int = DEFAULT_TRANSIENT_SKIP,
 ) -> TimeSeries:
     """Logistic map x' = r*x*(1-x); bounded for r in (0, 4], x0 in (0, 1)."""
-    _check_emission(n, transient_skip)
-    if not 0.0 < r <= 4.0:
-        raise ValueError(f"r must lie in (0, 4], got {r}")
-    if not 0.0 < x0 < 1.0:
-        raise ValueError(f"x0 must lie in (0, 1), got {x0}")
+    _check_logistic(n, r, x0, transient_skip)
     x = float(x0)
     out = np.empty(n)
     for i in range(-transient_skip, n):
@@ -78,6 +78,14 @@ def logistic(
         if i >= 0:
             out[i] = x
     return TimeSeries(out, label="logistic")
+
+
+def _check_logistic(n, r, x0, transient_skip):
+    _check_emission(n, transient_skip)
+    if not 0.0 < r <= 4.0:
+        raise ValueError(f"r must lie in (0, 4], got {r}")
+    if not 0.0 < x0 < 1.0:
+        raise ValueError(f"x0 must lie in (0, 1), got {x0}")
 
 
 def lorenz(
@@ -94,9 +102,7 @@ def lorenz(
     The step is fixed (not adaptive) so runs are bit-reproducible; dt must
     lie in (0, 0.05].  One sample is emitted per step after the transient.
     """
-    _check_emission(n, transient_skip)
-    if not 0.0 < dt <= 0.05:
-        raise ValueError(f"dt must lie in (0, 0.05], got {dt}")
+    _check_lorenz(n, dt, transient_skip)
 
     def deriv(x, y, z):
         return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
@@ -120,6 +126,12 @@ def lorenz(
     return TimeSeries(out, label="lorenz")
 
 
+def _check_lorenz(n, dt, transient_skip, **_):
+    _check_emission(n, transient_skip)
+    if not 0.0 < dt <= 0.05:
+        raise ValueError(f"dt must lie in (0, 0.05], got {dt}")
+
+
 def sine(
     n: int, period_samples: int, amplitude: float = 1.0, phase: float = 0.0
 ) -> TimeSeries:
@@ -131,14 +143,18 @@ def sine(
     land on the same reconstructed points instead of drifting by
     accumulated rounding.
     """
-    _check_emission(n)
-    if _integer("period_samples", period_samples) < 2:
-        raise ValueError(f"period must be >= 2 samples, got {period_samples}")
+    _check_sine(n, period_samples)
     i = np.arange(n) % period_samples
     return TimeSeries(
         amplitude * np.sin(2.0 * np.pi * (i / period_samples) + phase),
         label="sine",
     )
+
+
+def _check_sine(n, period_samples, **_):
+    _check_emission(n)
+    if _integer("period_samples", period_samples) < 2:
+        raise ValueError(f"period must be >= 2 samples, got {period_samples}")
 
 
 _MASK64 = (1 << 64) - 1
@@ -170,10 +186,8 @@ def white_noise(
     (log/cos/sin), which is bit-stable on any one platform and matches
     across platforms with correctly-rounded math libraries.
     """
-    _check_emission(n)
-    if not stddev > 0:
-        raise ValueError(f"stddev must be positive, got {stddev}")
-    seed = _integer("seed", seed)
+    _check_white_noise(n, seed, stddev)
+    seed = operator.index(seed)  # a numpy integer as an int, so the mask cannot overflow
     pairs = (n + 1) // 2
     ks = np.uint64(seed & _MASK64) + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN
     z = ks
@@ -190,10 +204,23 @@ def white_noise(
     return TimeSeries(mean + stddev * out[:n], label="white_noise")
 
 
+def _check_white_noise(n, seed, stddev, **_):
+    _check_emission(n)
+    if not stddev > 0:
+        raise ValueError(f"stddev must be positive, got {stddev}")
+    _integer("seed", seed)
+
+
 #: kind -> generator.  A kind's settings are its generator's keyword
 #: parameters after n: GeneratorSpec takes exactly those, and `delaymap
 #: synth` has a flag for each.
 GENERATORS = {fn.__name__: fn for fn in (henon, logistic, lorenz, sine, white_noise)}
+#: kind -> the range and type checks its generator runs first, taking n and
+#: every setting by name, so a GeneratorSpec runs them when it is built
+_CHECKS = {
+    "henon": _check_henon, "logistic": _check_logistic, "lorenz": _check_lorenz,
+    "sine": _check_sine, "white_noise": _check_white_noise,
+}
 #: kind -> {setting name: inspect.Parameter}, annotations resolved
 SETTINGS = {
     kind: dict(list(inspect.signature(fn, eval_str=True).parameters.items())[1:])
@@ -218,7 +245,8 @@ class GeneratorSpec:
     transient_skip, which have fields of their own; None leaves one out,
     so transient_skip=None means the generator's own default.  A setting
     the kind does not take or a required one left out (SettingError), or
-    a non-integer int setting, raises ValueError here, not when generating.
+    a value its generator refuses (a non-integer int setting, a sine period
+    under 2, ...), raises ValueError here, not when generating.
     """
 
     kind: str
@@ -230,10 +258,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATORS:
             raise ValueError(f"unknown kind {self.kind!r}; pick from {tuple(GENERATORS)}")
-        for name, value in self.arguments().items():
-            if SETTINGS[self.kind][name].annotation is int:
-                _integer(name, value)
-        _check_emission(self.n, self.transient_skip or 0)
+        _CHECKS[self.kind](self.n, **self.arguments())
 
     def arguments(self) -> dict:
         """Every setting of the kind's generator, defaults filled in."""

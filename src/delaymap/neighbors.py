@@ -17,20 +17,24 @@ at distance 0 is false when the appended coordinates differ (R_i = inf)
 and a true neighbor when they coincide; such points stay in the tested
 tally (nothing is skipped for them).
 
-The neighbor search has two exact routes with one contract (the same
-index and distance arrays, bit for bit): a blocked scan over all pairs
-and a k-d tree.  A cloud of at most ``_SCAN_PAIRS`` pairs (n <= 5 792)
-takes the scan at every m, so a short record never loads
-``scipy.spatial``, whose import alone costs more than such a scan.  A
-larger cloud builds the tree, which serves clouds whose neighbors are
-much closer than a typical pair.  In a high-m embedding of a noise-like
-record the nearest distance approaches the typical pair distance (Beyer
-et al., "When is 'nearest neighbor' meaningful?", 1999) and the tree ends
-up visiting nearly every pair, so the scan takes over there too.  That
-choice is made per cloud by a probe that reads only the cloud and the
-window: the median nearest-neighbor distance of a few evenly spaced rows
-over the RMS pair distance.  Either way, a cloud whose scale could
-overflow the scan's sums keeps the tree.
+The neighbor search has three exact routes with one contract (the same
+index and distance arrays, bit for bit): a blocked scan over all pairs,
+a sorted-projection sweep and a k-d tree.  A cloud of at most
+``_SCAN_PAIRS`` pairs (n <= 5 792) takes the scan at every m, so a short
+record never loads ``scipy.spatial``, whose import alone costs more than
+such a scan.  A larger cloud meets a probe that reads only the cloud and
+the window: the nearest neighbors of a few evenly spaced rows, found by
+brute force with no tree.  Where few points lie within those distances
+along the widest axis, as in a map's low-m embedding, the sweep serves
+the cloud and ``scipy.spatial`` stays unloaded.  Any other cloud, and
+the rows the sweep's pair budget leaves open, go to the tree, which
+serves clouds whose neighbors are much closer than a typical pair, or to
+the scan: in a high-m embedding of a noise-like record the nearest
+distance approaches the typical pair distance (Beyer et al., "When is
+'nearest neighbor' meaningful?", 1999) and the tree ends up visiting
+nearly every pair.  The probe's contrast, the median nearest distance
+over the RMS pair distance, picks between them.  Either way, a cloud
+whose scale could overflow the scan's sums keeps the tree.
 """
 
 from __future__ import annotations
@@ -52,16 +56,26 @@ __all__ = [
     "embedding_dimension",
 ]
 
-#: Largest pair count n^2 that takes the scan with no tree and no probe
-#: (n <= 5 792).  Below it the scan beats importing scipy.spatial (0.5-0.6 s)
-#: and sweeping with the tree.  FNN stage of one process, scan-only sweep vs
-#: tree sweep plus the import: Henon m=1..4 111 ms vs 23 ms + import at
-#: n = 3 000, 215 vs 38 at 5 000, 486 vs 48 at 8 000; white noise m=1..8
-#: 235 vs 185 at 3 000, 517 vs 368 at 5 000, 1 231 vs 598 at 8 000.  The
-#: crossover lies near n = 6 000-7 000; 2^25 leaves margin.
+#: Largest pair count n^2 that takes the scan with no probe (n <= 5 792).
+#: Below it the scan beats importing scipy.spatial (0.5-0.6 s) for the tree
+#: a noise-like record needs.  FNN stage of one process, scan at every m vs
+#: the routes above the gate: white noise m=1..8 173 ms vs 498 ms (sweep at
+#: m=1, then tree plus the import) at n = 3 000, 360 vs 647 at 5 000,
+#: 1 252 vs 779 at 8 000, so the crossover lies near n = 6 000-7 000 and
+#: 2^25 leaves margin.  Henon m=1..4 takes the sweep above the gate and
+#: would gain below it too: 111 vs 46 ms at 3 000, 360 vs 126 at 8 000.
 _SCAN_PAIRS = 1 << 25
 #: Evenly spaced rows whose nearest-neighbor distances the route probe reads.
 _PROBE_ROWS = 32
+#: Largest mean probe count (see `_probe`) for which the projection sweep
+#: runs first.  Henon n = 10 000 predicts 2-19 pairs a row at m = 1..4;
+#: Lorenz n = 50 000 at T = 17 and white noise predict 55-1 650.
+_SWEEP_PREDICTED = 32
+#: Candidate pairs per point the sweep may examine before it hands the rows
+#: still open on: a count, so the route never depends on the host's speed.
+_SWEEP_BUDGET = 64
+#: Relative margin of the sweep's stop rule, far above its rounding error.
+_SWEEP_MARGIN = 1e-12
 #: Probe contrast from which the scan runs.  On white noise the scan
 #: overtakes the k-d tree at a contrast of about 0.26 for n = 3 000 and
 #: about 0.33 for n = 10 000 (its cost grows as n^2); this lies between.
@@ -160,29 +174,34 @@ class DimensionSelection:
 
 def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point of a cloud of at least 2
-    points, by the route that suits the cloud.
+    points, by the route that suits the cloud (see the module docstring).
 
-    A cloud of at most ``_SCAN_PAIRS`` pairs goes straight to
-    `_dense_nearest`, with no tree, no probe and no ``scipy.spatial``
-    import.  That wins for one sweep per process; a caller that runs many
-    sweeps in one process pays a little more per m below the gate (Henon,
-    n = 5 000: about 52 ms a dimension against 10 ms by the tree once
-    scipy is loaded).  A larger cloud builds one k-d tree; when the probe
-    contrast reaches ``_SCAN_CONTRAST`` the tree has degenerated and
-    `_dense_nearest` scans every pair, otherwise the tree answers through
-    `_bulk_nearest`.  A cloud too large in scale for the scan's sums
-    (`_scan_pair_sq` is 0) keeps the tree.  All routes return the same
-    arrays, so the choice never shows in a result.
+    Under the ``_SCAN_PAIRS`` gate `_dense_nearest` runs with no probe.
+    That wins for one sweep per process; a caller that runs many sweeps
+    in one process pays a little more per m below the gate (Henon,
+    n = 5 000: about 52 ms a dimension against 10 ms by the tree once scipy
+    is loaded).  Above it, `_sweep_nearest` runs first when `_probe`
+    predicts at most ``_SWEEP_PREDICTED`` pairs per row; the scan takes
+    what is left when the contrast reaches ``_SCAN_CONTRAST``, the tree
+    (`_bulk_nearest`) otherwise.  A cloud too large in scale for the
+    scan's sums (`_scan_pair_sq` is 0) keeps the tree.
     """
     n = len(points)
-    if n * n <= _SCAN_PAIRS and _scan_pair_sq(points):
+    pair_sq = _scan_pair_sq(points)
+    if not pair_sq:
+        return _bulk_nearest(points, w)
+    if n * n <= _SCAN_PAIRS:
         return _dense_nearest(points, w)
-    from scipy.spatial import cKDTree  # deferred: costs most of `import delaymap`
-
-    tree = cKDTree(points, balanced_tree=False)
-    if _probe_contrast(tree, points, w) >= _SCAN_CONTRAST:
-        return _dense_nearest(points, w)
-    return _bulk_nearest(points, w, tree)
+    axis = int(np.argmax([col.max() - col.min() for col in points.T]))  # the widest
+    contrast, predicted = _probe(points, w, pair_sq, axis)
+    route = _dense_nearest if contrast >= _SCAN_CONTRAST else _bulk_nearest
+    if predicted > _SWEEP_PREDICTED:
+        return route(points, w)
+    nn_idx, nn_dist, pending = _sweep_nearest(points, w, axis, _SWEEP_BUDGET * n)
+    if pending.size:
+        rest_idx, rest_dist = route(points, w, pending)
+        nn_idx[pending], nn_dist[pending] = rest_idx[pending], rest_dist[pending]
+    return nn_idx, nn_dist
 
 
 def _scan_pair_sq(points: np.ndarray) -> float:
@@ -196,39 +215,106 @@ def _scan_pair_sq(points: np.ndarray) -> float:
     return pair_sq if 0.0 < 4.0 * len(points) * pair_sq < np.inf else 0.0
 
 
-def _probe_contrast(tree, points: np.ndarray, w: int) -> float:
-    """Median admissible nearest-neighbor distance of ``_PROBE_ROWS`` evenly
-    spaced rows, over the RMS pair distance sqrt(`_scan_pair_sq`).
+def _probe(points: np.ndarray, w: int, pair_sq: float, axis: int) -> tuple[float, float]:
+    """(contrast, predicted sweep pairs per row) from the admissible nearest
+    distances of ``_PROBE_ROWS`` evenly spaced rows, by brute force.
 
-    Depth 2w + 3 (or all n points) reaches past the temporal band, so
-    each probe row's first admissible candidate is its nearest neighbor.
-    Returns 0 (keep the tree) when no probe row has an admissible
-    candidate, and when the cloud's scale could overflow the scan's sums.
+    The contrast is their median over the RMS pair distance sqrt(pair_sq),
+    or 0 (keep the tree) when no probe row has an admissible neighbor.  The
+    prediction is the mean count of points whose coordinate on ``axis``
+    lies within a probe row's nearest distance of its own; the sweep along
+    it examined 1.7-2 times that many pairs per row on every cloud tried.
     """
     n = len(points)
     rows = np.unique(np.linspace(0, n - 1, _PROBE_ROWS).astype(np.int64))
-    d, i = tree.query(points[rows], k=min(n, 2 * w + 3))
-    admissible = (np.abs(i - rows[:, None]) > w) & (i < n)
-    has_adm = admissible.any(axis=1)
-    pair_sq = _scan_pair_sq(points)
-    if not has_adm.any() or not pair_sq:
-        return 0.0
-    nearest = d[has_adm, np.argmax(admissible[has_adm], axis=1)]
-    return float(np.median(nearest)) / np.sqrt(pair_sq)
+    # squared distances in centred coordinates, one row at a time to keep
+    # temporaries small: a route estimate needs the same value every run,
+    # not the exact distance
+    c = points - points.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    key = points[:, axis]
+    nearest, within = np.empty(rows.size), 0
+    for k, r in enumerate(rows):
+        d2 = sq - 2.0 * (c @ c[r])
+        d2[max(0, r - w) : r + w + 1] = np.inf
+        nearest[k] = np.sqrt(max(d2.min() + sq[r], 0.0))
+        within += np.count_nonzero(np.abs(key - key[r]) <= nearest[k])
+    found = np.sort(nearest[np.isfinite(nearest)])
+    # the median by hand: the first np.median call imports numpy.ma (20 ms)
+    median = (found[(found.size - 1) // 2] + found[found.size // 2]) / 2 if found.size else 0.0
+    return float(median) / np.sqrt(pair_sq), within / rows.size
 
 
-def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_nearest(
+    points: np.ndarray, w: int, axis: int, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact nearest neighbor of every point by a sorted-projection sweep
+    (Friedman, Baskett & Shustek, IEEE Trans. Computers C-24, 1975).
+
+    Returns `_bulk_nearest`'s arrays plus ``pending``: the rows, ascending,
+    still open when the next offset would take the candidate pairs past
+    ``budget``; only their entries are not final.  The points are sorted
+    along ``axis``.  At offset k = 1, 2, ... each sorted position p is paired
+    with p + k while p's upward or p + k's downward side is open.  Pairs in
+    the temporal band are skipped; each other pair's `_tree_distance` is
+    offered to both rows, which keep the least (distance, index).
+    """
+    n, m = points.shape
+    key = points[:, axis]
+    order = np.argsort(key, kind="stable")
+    key, sp = key[order], points[order]
+    best, reach = np.full(n, np.inf), np.full(n, np.inf)
+    who = np.full(n, -1)  # the best's original index; -1 never ties an inf best
+    up, down = np.arange(n - 1), np.arange(1, n)  # positions with that side open
+    in_up = np.ones(n, dtype=bool)  # membership of up, so a pair is examined once
+    # Stop rule: a side closes once the key gap g to its next candidate
+    # exceeds reach = max(best * margin, 2^-511).  g is computed from the
+    # same two coordinates as the axis's term of `_tree_distance`, so it is
+    # that term's |difference| exactly, and farther positions have gaps of
+    # at least g (rounding is monotone).  Past 2^-511 the square is normal;
+    # with u the unit roundoff, the rounded sum of non-negative squares
+    # loses at most a factor (1 - u)^(m + 6) and the root (1 - u), so each
+    # candidate past the gap lies at least g (1 - (m/2 + 5) u) away.  As
+    # margin (1 - (m/2 + 5) u) > 1, that is strictly farther than the row's
+    # best, which only shrinks: it can neither win nor tie.  One that could
+    # tie (g <= best * margin) is examined, so an equal distance at a
+    # smaller index is never missed.  margin is 1 + 1e-12 up to m of about
+    # 4 500 and grows with m past that.
+    margin = 1.0 + max(_SWEEP_MARGIN, (m + 10) * np.finfo(np.float64).eps)
+    floor = np.sqrt(np.finfo(np.float64).tiny)
+    for k in range(1, n):
+        lo = down - k
+        p = np.concatenate((up, lo[~in_up[lo]]))
+        if not p.size or p.size > budget:  # every side closed, or out of budget
+            break
+        budget -= p.size
+        p = p[np.abs(order[p] - order[p + k]) > w]
+        dist = _tree_distance(sp[p], sp[p + k])
+        for row, other in ((p, order[p + k]), (p + k, order[p])):
+            win = (dist < best[row]) | ((dist == best[row]) & (other < who[row]))
+            row, dist_w = row[win], dist[win]
+            best[row], who[row] = dist_w, other[win]
+            reach[row] = np.maximum(dist_w * margin, floor)
+        keep = (up + k + 1 < n) & (key[np.minimum(up + k + 1, n - 1)] - key[up] <= reach[up])
+        in_up[up[~keep]] = False
+        up = up[keep]
+        down = down[(down > k) & (key[down] - key[np.maximum(down - k - 1, 0)] <= reach[down])]
+    back = np.argsort(order)  # each row's sorted position
+    return who[back], best[back], np.sort(order[np.union1d(up, down)])
+
+
+def _dense_nearest(points: np.ndarray, w: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point by a blocked scan of all pairs.
 
-    Same contract as `_bulk_nearest`.  In centred coordinates c, row i
-    ranks column j by sq_j - 2 c_i.c_j (its squared distance less sq_i),
-    computed for a block of rows and columns by one product of the
-    augmented rows [-2 c_i, 1] and [c_j, sq_j]; the temporal band is set
-    to +inf by index.  Every column within a proven rounding slack of the
-    row minimum stays a candidate, and `_settle` recomputes the
-    candidates' distances from the original points exactly as the k-d
-    tree does, so the winner and its distance match the tree's bit for
-    bit.  A block holds at most ``_SCAN_ELEMENTS`` entries whatever n is.
+    Same contract as `_bulk_nearest`, ``rows`` included.  In centred
+    coordinates c, row i ranks column j by sq_j - 2 c_i.c_j (its squared
+    distance less sq_i), computed for a block of rows and columns by one
+    product of the augmented rows [-2 c_i, 1] and [c_j, sq_j]; the
+    temporal band is set to +inf by index.  Every column within a proven
+    rounding slack of the row minimum stays a candidate, and `_settle`
+    recomputes their distances from the original points exactly as the
+    k-d tree does, so the winner and its distance match the tree's bit
+    for bit.  A block holds at most ``_SCAN_ELEMENTS`` entries whatever n is.
     """
     n, m = points.shape
     w = min(w, n)  # a wider band excludes nothing more
@@ -255,27 +341,30 @@ def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     slack = 16 * (m + 4) * (unit * (sq + sq.max()) + np.finfo(np.float64).tiny)
     size = max(1, min(_SCAN_ELEMENTS, _SCAN_PRODUCT // (m + 1)))
     cols = min(n, size)
-    rows = max(1, size // cols)
-    # the band of a block's rows: (row in block, column less block start)
-    band_row = np.repeat(np.arange(rows), 2 * w + 1)
-    band_col = band_row + np.tile(np.arange(-w, w + 1), rows)
+    block = max(1, size // cols)
+    rows = np.arange(n) if rows is None else rows
+    lhs, slack = lhs[rows], slack[rows]  # the searched rows, so blocks are slices
+    # the band of a block's rows: (row in block, column offset from the row)
+    band_row = np.repeat(np.arange(block), 2 * w + 1)
+    band_off = np.tile(np.arange(-w, w + 1), block)
     found, count = [], 0
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        in_block = slice(0, (r1 - r0) * (2 * w + 1))
-        best = np.full(r1 - r0, np.inf)
+    for b0 in range(0, rows.size, block):
+        r = rows[b0 : b0 + block]
+        in_block = slice(0, r.size * (2 * w + 1))
+        band_col = r[band_row[in_block]] + band_off[in_block]
+        best = np.full(r.size, np.inf)
         for c0 in range(0, n, cols):
-            g = lhs[r0:r1] @ rhs[:, c0 : c0 + cols]
-            j = band_col[in_block] + (r0 - c0)
+            g = lhs[b0 : b0 + block] @ rhs[:, c0 : c0 + cols]
+            j = band_col - c0
             hit = (j >= 0) & (j < g.shape[1])
             g[band_row[in_block][hit], j[hit]] = np.inf
             np.minimum(best, g.min(axis=1), out=best)
             # capped, so that a row with nothing admissible yet admits no band entry
-            cut = np.minimum(best + slack[r0:r1], _FLOAT_MAX)
+            cut = np.minimum(best + slack[b0 : b0 + block], _FLOAT_MAX)
             ri, cj = np.divmod(np.flatnonzero(g <= cut[:, None]), g.shape[1])
-            found.append((ri + r0, cj + c0))
+            found.append((r[ri], cj + c0))
             count += ri.size
-        if count * m >= size or r1 == n:  # settle at most about a block of coordinates
+        if count * m >= size or b0 + block >= rows.size:  # settle about a block of coordinates
             _settle(points, found, nn_idx, nn_dist)
             found, count = [], 0
     return nn_idx, nn_dist
@@ -312,7 +401,7 @@ def _tree_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def _bulk_nearest(points: np.ndarray, w: int, tree=None) -> tuple[np.ndarray, np.ndarray]:
+def _bulk_nearest(points: np.ndarray, w: int, pending=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point via a k-d tree.
 
     Returns (index, distance) arrays; index is -1 (distance inf) where the
@@ -328,8 +417,8 @@ def _bulk_nearest(points: np.ndarray, w: int, tree=None) -> tuple[np.ndarray, np
     (the point itself, the winner and one strictly farther candidate).
     Rows left uncertified jump to depth 2w + 3, which covers the whole
     temporal band of a flow whose band members are its nearest points,
-    and keep doubling from there.  ``tree``, when given, is that tree
-    already built on ``points``.
+    and keep doubling from there.  ``pending``, when given, limits the
+    search to those rows; the others keep index -1 and distance inf.
     """
     from scipy.spatial import cKDTree  # deferred: costs most of `import delaymap`
 
@@ -338,9 +427,8 @@ def _bulk_nearest(points: np.ndarray, w: int, tree=None) -> tuple[np.ndarray, np
     nn_dist = np.full(n, np.inf)
     if n < 2:
         return nn_idx, nn_dist
-    if tree is None:
-        tree = cKDTree(points, balanced_tree=False)
-    pending = np.arange(n)
+    tree = cKDTree(points, balanced_tree=False)
+    pending = np.arange(n) if pending is None else pending
     k = min(n, 3)
     while pending.size:
         d, i = tree.query(points[pending], k=k)

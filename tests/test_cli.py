@@ -72,6 +72,23 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "{series}", "--delay", "1", "--dimension", "2", "--axes", "0,5"],
+        ["dimension", "x", "--fit-r-lo", "1"],  # missing --fit-r-hi
+        ["synth", "--kind", "henon", "-n", "10", "--seed", "5"],
+    ],
+    ids=["embed", "dimension", "synth"],
+)
+def test_usage_errors_found_by_a_command_print_its_usage_line(argv, tmp_path, capsys):
+    series = write_series(tmp_path / "s.csv", np.arange(30.0))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(series=series) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: delaymap {argv[0]} ")
+
+
 def test_synth_help_lists_one_flag_per_generator_setting(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--help"])

@@ -27,7 +27,7 @@ from delaymap import (
     white_noise,
 )
 from delaymap import neighbors
-from delaymap.neighbors import _bulk_nearest, _dense_nearest, _tree_distance
+from delaymap.neighbors import _bulk_nearest, _dense_nearest, _sweep_nearest, _tree_distance
 from oracles import fnn_recount, nn_scan
 
 
@@ -153,6 +153,26 @@ def test_pipeline_on_a_short_record_leaves_scipy_spatial_unloaded(tmp_path):
     code = (
         "import sys; from delaymap import cli;"
         f" cli.main(['pipeline', {str(path)!r}, '--output-dir', {str(tmp_path / 'out')!r}]);"
+        " print('scipy.spatial' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.stderr.strip() == "False"
+    assert (tmp_path / "out" / "fnn_curve.csv").is_file()
+
+
+def test_pipeline_on_henon_above_the_size_gate_leaves_scipy_spatial_unloaded(tmp_path):
+    # 10 000 points lie above the scan's size gate; the projection sweep
+    # serves every m the sweep evaluates
+    src = os.path.dirname(os.path.dirname(delaymap.__file__))
+    path = tmp_path / "henon.csv"
+    path.write_text("\n".join(map(repr, henon(10000).values.tolist())) + "\n")
+    code = (
+        "import sys; from delaymap import cli;"
+        f" cli.main(['pipeline', {str(path)!r}, '--fixed-delay', '1',"
+        f" '--output-dir', {str(tmp_path / 'out')!r}]);"
         " print('scipy.spatial' in sys.modules, file=sys.stderr)"
     )
     out = subprocess.run(
@@ -417,6 +437,7 @@ def searches(monkeypatch):
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     monkeypatch.setattr(neighbors, "_bulk_nearest", recorded("tree", neighbors._bulk_nearest))
     monkeypatch.setattr(neighbors, "_dense_nearest", recorded("scan", neighbors._dense_nearest))
+    monkeypatch.setattr(neighbors, "_sweep_nearest", recorded("sweep", neighbors._sweep_nearest))
     return trees, taken
 
 
@@ -427,42 +448,58 @@ def routes(searches, monkeypatch):
     return searches
 
 
+#: Routes over m = 1..20 with the size gate lifted.  A cloud whose probe
+#: predicts few pairs per row takes the projection sweep and builds no tree.
+LIFTED_ROUTES = {
+    "noise": ["sweep"] + ["tree"] * 7 + ["scan"] * 12,
+    "henon": ["sweep"] * 5 + ["tree"] * 15,
+    "lorenz-T1": ["sweep"] * 4 + ["tree"] * 16,
+    "lorenz-T10": ["sweep"] * 2 + ["tree"] * 18,
+    "sine-T1": ["tree"] * 20,
+    "sine-T10": ["tree"] * 20,
+}
+
+
 def test_route_choice_is_deterministic_and_picks_the_scan_for_noise(routes):
     trees, taken = routes
     noise = white_noise(3000, 7)
     first = _full_sweep(noise, 1)
-    assert taken == ["tree"] * 8 + ["scan"] * 12
-    assert len(trees) == 20
+    assert taken == LIFTED_ROUTES["noise"]
+    assert len(trees) == 7
     again = _full_sweep(noise, 1)
     assert taken[20:] == taken[:20]
     assert again == first
 
 
-@pytest.mark.parametrize(
-    "ts, delay",
-    [(henon(3000), 1), (lorenz(3000), 1), (lorenz(3000), 10), (sine(3000, 40), 1), (sine(3000, 40), 10)],
-    ids=["henon", "lorenz-T1", "lorenz-T10", "sine-T1", "sine-T10"],
-)
-def test_attractors_keep_the_tree_with_one_tree_per_dimension(ts, delay, routes):
+ATTRACTORS = {
+    "henon": (henon(3000), 1),
+    "lorenz-T1": (lorenz(3000), 1),
+    "lorenz-T10": (lorenz(3000), 10),
+    "sine-T1": (sine(3000, 40), 1),
+    "sine-T10": (sine(3000, 40), 10),
+}
+
+
+@pytest.mark.parametrize("case", list(ATTRACTORS))
+def test_attractors_keep_the_tree_with_one_tree_per_dimension(case, routes):
+    # the dimensions the projection sweep serves come first and build no tree
     trees, taken = routes
-    _full_sweep(ts, delay)
-    assert taken == ["tree"] * 20
-    assert len(trees) == 20
+    _full_sweep(*ATTRACTORS[case])
+    assert taken == LIFTED_ROUTES[case]
+    assert len(trees) == taken.count("tree")
 
 
-@pytest.mark.parametrize(
-    "ts, delay",
-    [(white_noise(3000, 7), 1), (henon(3000), 1), (lorenz(3000), 1), (lorenz(3000), 10), (sine(3000, 40), 1)],
-    ids=["noise", "henon", "lorenz-T1", "lorenz-T10", "sine-T1"],
-)
-def test_small_clouds_take_the_scan_and_build_no_tree(ts, delay, searches, monkeypatch):
+@pytest.mark.parametrize("case", ["noise", "henon", "lorenz-T1", "lorenz-T10", "sine-T1"])
+def test_small_clouds_take_the_scan_and_build_no_tree(case, searches, monkeypatch):
     trees, taken = searches
+    ts, delay = (white_noise(3000, 7), 1) if case == "noise" else ATTRACTORS[case]
     gated = _full_sweep(ts, delay)
     assert taken == ["scan"] * 20
     assert not trees
     monkeypatch.setattr(neighbors, "_SCAN_PAIRS", 0)
     assert _full_sweep(ts, delay) == gated
-    assert len(trees) == 20
+    assert taken[20:] == LIFTED_ROUTES[case]
+    assert len(trees) == taken.count("tree")
 
 
 def test_size_gate_sends_clouds_past_2_to_the_25_pairs_to_the_tree(searches):
@@ -470,8 +507,18 @@ def test_size_gate_sends_clouds_past_2_to_the_25_pairs_to_the_tree(searches):
     assert 5792**2 <= neighbors._SCAN_PAIRS < 5793**2
     fnn_fraction(white_noise(5793, 4), 1, 1)  # 5 792 points at m = 1
     assert taken == ["scan"] and not trees
-    fnn_fraction(white_noise(5794, 4), 1, 1)  # 5 793 points
-    assert taken == ["scan", "tree"] and len(trees) == 1
+    fnn_fraction(white_noise(5794, 4), 1, 1)  # 5 793 points on a line: the sweep
+    assert taken == ["scan", "sweep"] and not trees
+    fnn_fraction(white_noise(5795, 4), 1, 2)  # 5 793 points in the plane
+    assert taken == ["scan", "sweep", "tree"] and len(trees) == 1
+
+
+def test_lorenz_above_the_size_gate_still_builds_a_tree(searches):
+    # a flow's embedding at T = 17 predicts too many pairs for the sweep
+    trees, taken = searches
+    entry = fnn_fraction(lorenz(6000), 17, 3)  # 5 949 points
+    assert taken == ["tree"] and len(trees) == 1
+    assert entry.tested_points == 5949
 
 
 def test_cloud_too_large_in_scale_for_the_scan_keeps_the_tree(searches):
@@ -483,3 +530,93 @@ def test_cloud_too_large_in_scale_for_the_scan_keeps_the_tree(searches):
     ref = [nn_scan(pts, t, 1) for t in range(len(pts))]
     assert idx.tolist() == [i for i, _ in ref]
     assert dist.tolist() == [d for _, d in ref]
+
+
+def _assert_sweep_exact(pts, w, budget=None, axis=0):
+    """The projection sweep along ``axis`` gives `_bulk_nearest`'s arrays bit
+    for bit, and the rows it leaves open under ``budget`` get them from the
+    tree and the scan."""
+    n = len(pts)
+    ref_idx, ref_dist = _bulk_nearest(pts, w)
+    idx, dist, pending = _sweep_nearest(pts, w, axis, n * n if budget is None else budget)
+    assert budget is not None or not pending.size  # n^2 exceeds every pair
+    done = np.setdiff1d(np.arange(n), pending)
+    assert np.array_equal(idx[done], ref_idx[done])
+    assert np.array_equal(dist[done], ref_dist[done])
+    for route in (_bulk_nearest, _dense_nearest):
+        rest_idx, rest_dist = route(pts, w, pending)
+        idx[pending], dist[pending] = rest_idx[pending], rest_dist[pending]
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+    return idx, dist, pending
+
+
+def test_projection_sweep_matches_the_tree_and_the_scan_on_the_criterion_2_clouds():
+    # criterion 2's generator; at dimension <= 5 the sequential scan sums in
+    # the tree's order, so its distances match bit for bit too
+    rng = np.random.default_rng(202)
+    for trial in range(100):
+        n = int(rng.integers(2, 201))
+        dim = int(rng.integers(1, 6))
+        if trial % 3 == 2:
+            pts = rng.integers(0, 4, size=(n, dim)).astype(float)
+        else:
+            pts = rng.normal(size=(n, dim)) * float(rng.uniform(0.1, 30.0))
+        w = int(rng.integers(0, 6))
+        ref = [nn_scan(pts, t, w) for t in range(n)]
+        for axis in range(dim):  # any axis gives the same arrays
+            idx, dist, _ = _assert_sweep_exact(pts, w, axis=axis)
+            assert idx.tolist() == [i for i, _ in ref]
+            assert dist.tolist() == [d for _, d in ref]
+        _assert_sweep_exact(pts, w, budget=n)  # a tiny budget: most rows hand off
+
+
+def test_projection_sweep_is_bit_identical_on_the_scan_versus_tree_clouds():
+    rng = np.random.default_rng(202)
+    for trial in range(60):
+        n = int(rng.integers(2, 201))
+        dim = int(rng.integers(1, 6))
+        if trial % 3 == 2:
+            pts = rng.integers(0, 4, size=(n, dim)).astype(float)
+        else:
+            pts = rng.normal(size=(n, dim)) * float(rng.uniform(0.1, 30.0))
+        for w in range(6):
+            _assert_sweep_exact(pts, w)
+    for offset in (0.0, 1e6):
+        noise = TimeSeries(white_noise(1500, 5).values + offset)
+        for m in (12, 16, 20):
+            _assert_sweep_exact(_embedded(noise, 1, m, n=1500 - m), 1)
+
+
+@pytest.mark.parametrize("delay, m", [(1, 1), (1, 2), (10, 2), (10, 5), (10, 20)])
+def test_projection_sweep_keeps_the_smallest_index_among_exact_repeats(delay, m):
+    # a period-40 sine repeats every point exactly, so nearest distances tie
+    pts = _embedded(sine(3000, 40), delay, m, n=3000 - m * delay)
+    idx, dist, _ = _assert_sweep_exact(pts, delay)
+    assert (dist == 0.0).any()
+    _assert_sweep_exact(pts, delay, budget=len(pts))
+
+
+def test_projection_sweep_with_the_band_swallowing_every_candidate():
+    pts = np.random.default_rng(3).normal(size=(7, 3))
+    for w in (6, 7, 100):
+        idx, dist, pending = _sweep_nearest(pts, w, 0, 49)
+        assert idx.tolist() == [-1] * 7 and np.isinf(dist).all() and not pending.size
+        _, _, pending = _sweep_nearest(pts, w, 2, 10)  # the budget ends first
+        assert pending.size
+
+
+@pytest.mark.parametrize("contrast, hand_off", [(np.inf, "tree"), (0.0, "scan")])
+def test_rows_left_open_by_the_sweep_budget_go_to_the_probe_route(
+    contrast, hand_off, searches, monkeypatch
+):
+    trees, taken = searches
+    pts = _embedded(henon(3010), 1, 3, n=3000)
+    ref = _bulk_nearest(pts, 1)
+    taken.clear()
+    monkeypatch.setattr(neighbors, "_SCAN_PAIRS", 0)
+    monkeypatch.setattr(neighbors, "_SCAN_CONTRAST", contrast)
+    monkeypatch.setattr(neighbors, "_SWEEP_BUDGET", 1)
+    idx, dist = neighbors._nearest(pts, 1)
+    assert taken == ["sweep", hand_off]
+    assert np.array_equal(idx, ref[0]) and np.array_equal(dist, ref[1])

@@ -256,6 +256,16 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
             GeneratorSpec(**bad)
+    # a value the generator refuses is refused when the spec is built
+    for bad, message in (
+        ({"kind": "sine", "parameters": {"period_samples": 1}}, "period must be >= 2"),
+        ({"kind": "logistic", "parameters": {"r": 5.0}}, "r must lie in"),
+        ({"kind": "lorenz", "parameters": {"dt": 0.1}}, "dt must lie in"),
+        ({"kind": "henon", "parameters": {"a": float("nan")}}, "parameter a must be finite"),
+        ({"kind": "white_noise", "seed": 1, "parameters": {"stddev": 0.0}}, "stddev must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(n=8, **bad)
     spec = GeneratorSpec("sine", 8, {"period_samples": np.int64(4)})
     assert np.array_equal(generate(spec).values, sine(8, 4).values)
 
