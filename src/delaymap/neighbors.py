@@ -18,23 +18,23 @@ and a true neighbor when they coincide; such points stay in the tested
 tally (nothing is skipped for them).
 
 The neighbor search has three exact routes with one contract (the same
-index and distance arrays, bit for bit): a blocked scan over all pairs,
-a sorted-projection sweep and a k-d tree.  A cloud of at most
-``_SCAN_PAIRS`` pairs (n <= 5 792) takes the scan at every m, so a short
-record never loads ``scipy.spatial``, whose import alone costs more than
-such a scan.  A larger cloud meets a probe that reads only the cloud and
-the window: the nearest neighbors of a few evenly spaced rows, found by
-brute force with no tree.  Where few points lie within those distances
-along the widest axis, as in a map's low-m embedding, the sweep serves
-the cloud and ``scipy.spatial`` stays unloaded.  Any other cloud, and
-the rows the sweep's pair budget leaves open, go to the tree, which
-serves clouds whose neighbors are much closer than a typical pair, or to
-the scan: in a high-m embedding of a noise-like record the nearest
-distance approaches the typical pair distance (Beyer et al., "When is
-'nearest neighbor' meaningful?", 1999) and the tree ends up visiting
-nearly every pair.  The probe's contrast, the median nearest distance
-over the RMS pair distance, picks between them.  Either way, a cloud
-whose scale could overflow the scan's sums keeps the tree.
+index and distance arrays, bit for bit): a sorted-projection sweep, a
+blocked scan over all pairs and a k-d tree, tried in that order.  A
+probe that reads only the cloud and the window finds the nearest
+neighbors of a few evenly spaced rows by brute force, with no tree.
+Where few points lie within those distances along the widest axis, as
+in a map's low-m embedding, the sweep runs; it serves the whole cloud or
+gives it up once its pair budget would run out.  A cloud the sweep does
+not serve goes to the scan when it is small (at most ``_SCAN_PAIRS``
+pairs, n <= 5 792), so a short record never loads ``scipy.spatial``,
+whose import alone costs more than such a scan.  A larger one goes to
+the scan when its neighbors are about as far as a typical pair: in a
+high-m embedding of a noise-like record the nearest distance approaches
+the typical pair distance (Beyer et al., "When is 'nearest neighbor'
+meaningful?", 1999) and the tree ends up visiting nearly every pair.
+The probe's contrast, the median nearest distance over the RMS pair
+distance, measures that.  Every other cloud goes to the tree, and so
+does a cloud whose scale could overflow the scan's sums.
 """
 
 from __future__ import annotations
@@ -56,14 +56,13 @@ __all__ = [
     "embedding_dimension",
 ]
 
-#: Largest pair count n^2 that takes the scan with no probe (n <= 5 792).
-#: Below it the scan beats importing scipy.spatial (0.5-0.6 s) for the tree
-#: a noise-like record needs.  FNN stage of one process, scan at every m vs
-#: the routes above the gate: white noise m=1..8 173 ms vs 498 ms (sweep at
-#: m=1, then tree plus the import) at n = 3 000, 360 vs 647 at 5 000,
-#: 1 252 vs 779 at 8 000, so the crossover lies near n = 6 000-7 000 and
-#: 2^25 leaves margin.  Henon m=1..4 takes the sweep above the gate and
-#: would gain below it too: 111 vs 46 ms at 3 000, 360 vs 126 at 8 000.
+#: Largest pair count n^2 (n <= 5 792) for which a cloud the sweep did not
+#: finish takes the scan instead of the tree, so a short record never
+#: imports scipy.spatial (0.5-0.6 s).  FNN stage of one fresh process, white
+#: noise m = 1..8, sweep at m = 1 then the scan vs the tree plus its import
+#: (2-vCPU host, median of 3): 78 vs 234 ms at n = 3 000, 160 vs 299 at
+#: 5 000, 288 vs 366 at 7 000, 400 vs 415 at 8 000 and 676 vs 508 at 10 000,
+#: so the crossover lies near n = 8 000-9 000 and 2^25 leaves margin.
 _SCAN_PAIRS = 1 << 25
 #: Evenly spaced rows whose nearest-neighbor distances the route probe reads.
 _PROBE_ROWS = 32
@@ -71,8 +70,8 @@ _PROBE_ROWS = 32
 #: runs first.  Henon n = 10 000 predicts 2-19 pairs a row at m = 1..4;
 #: Lorenz n = 50 000 at T = 17 and white noise predict 55-1 650.
 _SWEEP_PREDICTED = 32
-#: Candidate pairs per point the sweep may examine before it hands the rows
-#: still open on: a count, so the route never depends on the host's speed.
+#: Candidate pairs per point the sweep may examine before it gives the cloud
+#: up: a count, so the route never depends on the host's speed.
 _SWEEP_BUDGET = 64
 #: Relative margin of the sweep's stop rule, far above its rounding error.
 _SWEEP_MARGIN = 1e-12
@@ -174,34 +173,28 @@ class DimensionSelection:
 
 def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point of a cloud of at least 2
-    points, by the route that suits the cloud (see the module docstring).
+    points, by the first route that serves it (see the module docstring).
 
-    Under the ``_SCAN_PAIRS`` gate `_dense_nearest` runs with no probe.
-    That wins for one sweep per process; a caller that runs many sweeps
-    in one process pays a little more per m below the gate (Henon,
-    n = 5 000: about 52 ms a dimension against 10 ms by the tree once scipy
-    is loaded).  Above it, `_sweep_nearest` runs first when `_probe`
-    predicts at most ``_SWEEP_PREDICTED`` pairs per row; the scan takes
-    what is left when the contrast reaches ``_SCAN_CONTRAST``, the tree
-    (`_bulk_nearest`) otherwise.  A cloud too large in scale for the
-    scan's sums (`_scan_pair_sq` is 0) keeps the tree.
+    A cloud too large in scale for the scan's sums (`_scan_pair_sq` is 0)
+    takes the tree (`_bulk_nearest`).  Otherwise `_sweep_nearest` runs
+    when `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a
+    cloud it skips or gives up takes the scan (`_dense_nearest`) when it
+    has at most ``_SCAN_PAIRS`` pairs or its contrast reaches
+    ``_SCAN_CONTRAST``, and the tree otherwise.
     """
     n = len(points)
     pair_sq = _scan_pair_sq(points)
     if not pair_sq:
         return _bulk_nearest(points, w)
-    if n * n <= _SCAN_PAIRS:
-        return _dense_nearest(points, w)
     axis = int(np.argmax([col.max() - col.min() for col in points.T]))  # the widest
     contrast, predicted = _probe(points, w, pair_sq, axis)
-    route = _dense_nearest if contrast >= _SCAN_CONTRAST else _bulk_nearest
-    if predicted > _SWEEP_PREDICTED:
-        return route(points, w)
-    nn_idx, nn_dist, pending = _sweep_nearest(points, w, axis, _SWEEP_BUDGET * n)
-    if pending.size:
-        rest_idx, rest_dist = route(points, w, pending)
-        nn_idx[pending], nn_dist[pending] = rest_idx[pending], rest_dist[pending]
-    return nn_idx, nn_dist
+    if predicted <= _SWEEP_PREDICTED:
+        found = _sweep_nearest(points, w, axis, _SWEEP_BUDGET * n)
+        if found is not None:
+            return found
+    if n * n <= _SCAN_PAIRS or contrast >= _SCAN_CONTRAST:
+        return _dense_nearest(points, w)
+    return _bulk_nearest(points, w)
 
 
 def _scan_pair_sq(points: np.ndarray) -> float:
@@ -247,13 +240,12 @@ def _probe(points: np.ndarray, w: int, pair_sq: float, axis: int) -> tuple[float
 
 def _sweep_nearest(
     points: np.ndarray, w: int, axis: int, budget: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact nearest neighbor of every point by a sorted-projection sweep
     (Friedman, Baskett & Shustek, IEEE Trans. Computers C-24, 1975).
 
-    Returns `_bulk_nearest`'s arrays plus ``pending``: the rows, ascending,
-    still open when the next offset would take the candidate pairs past
-    ``budget``; only their entries are not final.  The points are sorted
+    Returns `_bulk_nearest`'s arrays, or None once the next offset would
+    take the candidate pairs past ``budget``.  The points are sorted
     along ``axis``.  At offset k = 1, 2, ... each sorted position p is paired
     with p + k while p's upward or p + k's downward side is open.  Pairs in
     the temporal band are skipped; each other pair's `_tree_distance` is
@@ -285,8 +277,10 @@ def _sweep_nearest(
     for k in range(1, n):
         lo = down - k
         p = np.concatenate((up, lo[~in_up[lo]]))
-        if not p.size or p.size > budget:  # every side closed, or out of budget
+        if not p.size:  # every side closed
             break
+        if p.size > budget:
+            return None
         budget -= p.size
         p = p[np.abs(order[p] - order[p + k]) > w]
         dist = _tree_distance(sp[p], sp[p + k])
@@ -300,21 +294,21 @@ def _sweep_nearest(
         up = up[keep]
         down = down[(down > k) & (key[down] - key[np.maximum(down - k - 1, 0)] <= reach[down])]
     back = np.argsort(order)  # each row's sorted position
-    return who[back], best[back], np.sort(order[np.union1d(up, down)])
+    return who[back], best[back]
 
 
-def _dense_nearest(points: np.ndarray, w: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point by a blocked scan of all pairs.
 
-    Same contract as `_bulk_nearest`, ``rows`` included.  In centred
-    coordinates c, row i ranks column j by sq_j - 2 c_i.c_j (its squared
-    distance less sq_i), computed for a block of rows and columns by one
-    product of the augmented rows [-2 c_i, 1] and [c_j, sq_j]; the
-    temporal band is set to +inf by index.  Every column within a proven
-    rounding slack of the row minimum stays a candidate, and `_settle`
-    recomputes their distances from the original points exactly as the
-    k-d tree does, so the winner and its distance match the tree's bit
-    for bit.  A block holds at most ``_SCAN_ELEMENTS`` entries whatever n is.
+    Same contract as `_bulk_nearest`.  In centred coordinates c, row i
+    ranks column j by sq_j - 2 c_i.c_j (its squared distance less sq_i),
+    computed for a block of rows and columns by one product of the
+    augmented rows [-2 c_i, 1] and [c_j, sq_j]; the temporal band is set
+    to +inf by index.  Every column within a proven rounding slack of the
+    row minimum stays a candidate, and `_settle` recomputes the
+    candidates' distances from the original points exactly as the k-d
+    tree does, so the winner and its distance match the tree's bit for
+    bit.  A block holds at most ``_SCAN_ELEMENTS`` entries whatever n is.
     """
     n, m = points.shape
     w = min(w, n)  # a wider band excludes nothing more
@@ -341,30 +335,27 @@ def _dense_nearest(points: np.ndarray, w: int, rows=None) -> tuple[np.ndarray, n
     slack = 16 * (m + 4) * (unit * (sq + sq.max()) + np.finfo(np.float64).tiny)
     size = max(1, min(_SCAN_ELEMENTS, _SCAN_PRODUCT // (m + 1)))
     cols = min(n, size)
-    block = max(1, size // cols)
-    rows = np.arange(n) if rows is None else rows
-    lhs, slack = lhs[rows], slack[rows]  # the searched rows, so blocks are slices
-    # the band of a block's rows: (row in block, column offset from the row)
-    band_row = np.repeat(np.arange(block), 2 * w + 1)
-    band_off = np.tile(np.arange(-w, w + 1), block)
+    rows = max(1, size // cols)
+    # the band of a block's rows: (row in block, column less block start)
+    band_row = np.repeat(np.arange(rows), 2 * w + 1)
+    band_col = band_row + np.tile(np.arange(-w, w + 1), rows)
     found, count = [], 0
-    for b0 in range(0, rows.size, block):
-        r = rows[b0 : b0 + block]
-        in_block = slice(0, r.size * (2 * w + 1))
-        band_col = r[band_row[in_block]] + band_off[in_block]
-        best = np.full(r.size, np.inf)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        in_block = slice(0, (r1 - r0) * (2 * w + 1))
+        best = np.full(r1 - r0, np.inf)
         for c0 in range(0, n, cols):
-            g = lhs[b0 : b0 + block] @ rhs[:, c0 : c0 + cols]
-            j = band_col - c0
+            g = lhs[r0:r1] @ rhs[:, c0 : c0 + cols]
+            j = band_col[in_block] + (r0 - c0)
             hit = (j >= 0) & (j < g.shape[1])
             g[band_row[in_block][hit], j[hit]] = np.inf
             np.minimum(best, g.min(axis=1), out=best)
             # capped, so that a row with nothing admissible yet admits no band entry
-            cut = np.minimum(best + slack[b0 : b0 + block], _FLOAT_MAX)
+            cut = np.minimum(best + slack[r0:r1], _FLOAT_MAX)
             ri, cj = np.divmod(np.flatnonzero(g <= cut[:, None]), g.shape[1])
-            found.append((r[ri], cj + c0))
+            found.append((ri + r0, cj + c0))
             count += ri.size
-        if count * m >= size or b0 + block >= rows.size:  # settle about a block of coordinates
+        if count * m >= size or r1 == n:  # settle at most about a block of coordinates
             _settle(points, found, nn_idx, nn_dist)
             found, count = [], 0
     return nn_idx, nn_dist
@@ -401,7 +392,7 @@ def _tree_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def _bulk_nearest(points: np.ndarray, w: int, pending=None) -> tuple[np.ndarray, np.ndarray]:
+def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point via a k-d tree.
 
     Returns (index, distance) arrays; index is -1 (distance inf) where the
@@ -417,8 +408,7 @@ def _bulk_nearest(points: np.ndarray, w: int, pending=None) -> tuple[np.ndarray,
     (the point itself, the winner and one strictly farther candidate).
     Rows left uncertified jump to depth 2w + 3, which covers the whole
     temporal band of a flow whose band members are its nearest points,
-    and keep doubling from there.  ``pending``, when given, limits the
-    search to those rows; the others keep index -1 and distance inf.
+    and keep doubling from there.
     """
     from scipy.spatial import cKDTree  # deferred: costs most of `import delaymap`
 
@@ -428,7 +418,7 @@ def _bulk_nearest(points: np.ndarray, w: int, pending=None) -> tuple[np.ndarray,
     if n < 2:
         return nn_idx, nn_dist
     tree = cKDTree(points, balanced_tree=False)
-    pending = np.arange(n) if pending is None else pending
+    pending = np.arange(n)
     k = min(n, 3)
     while pending.size:
         d, i = tree.query(points[pending], k=k)

@@ -87,6 +87,9 @@ class PipelineConfig:
     timestamp: bool = False
 
     def __post_init__(self):
+        # paths are stored as str, so the report writes them as JSON strings
+        for name in ("input_path", "output_dir"):
+            object.__setattr__(self, name, os.fspath(getattr(self, name)))
         # each key is checked by the function that uses it
         check_missing_policy(self.missing_policy)
         check_bins(self.j_bins)

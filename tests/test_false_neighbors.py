@@ -145,11 +145,14 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_pipeline_on_a_short_record_leaves_scipy_spatial_unloaded(tmp_path):
-    # 3 000 points lie under the scan's size gate at every m
+@pytest.mark.parametrize(
+    "ts", [white_noise(3000, 7), henon(5792)], ids=["noise", "henon"]
+)
+def test_pipeline_on_a_short_record_leaves_scipy_spatial_unloaded(ts, tmp_path):
+    # every m of a record of at most 5 792 points takes the sweep or the scan
     src = os.path.dirname(os.path.dirname(delaymap.__file__))
-    path = tmp_path / "noise.csv"
-    path.write_text("\n".join(map(repr, white_noise(3000, 7).values.tolist())) + "\n")
+    path = tmp_path / "record.csv"
+    path.write_text("\n".join(map(repr, ts.values.tolist())) + "\n")
     code = (
         "import sys; from delaymap import cli;"
         f" cli.main(['pipeline', {str(path)!r}, '--output-dir', {str(tmp_path / 'out')!r}]);"
@@ -458,6 +461,11 @@ LIFTED_ROUTES = {
     "sine-T1": ["tree"] * 20,
     "sine-T10": ["tree"] * 20,
 }
+#: The same routes under the size gate, where the scan serves every cloud
+#: the sweep does not.
+GATED_ROUTES = {
+    case: ["scan" if r == "tree" else r for r in taken] for case, taken in LIFTED_ROUTES.items()
+}
 
 
 def test_route_choice_is_deterministic_and_picks_the_scan_for_noise(routes):
@@ -491,10 +499,11 @@ def test_attractors_keep_the_tree_with_one_tree_per_dimension(case, routes):
 
 @pytest.mark.parametrize("case", ["noise", "henon", "lorenz-T1", "lorenz-T10", "sine-T1"])
 def test_small_clouds_take_the_scan_and_build_no_tree(case, searches, monkeypatch):
+    # the sweep serves every m its probe admits; the scan takes the rest
     trees, taken = searches
     ts, delay = (white_noise(3000, 7), 1) if case == "noise" else ATTRACTORS[case]
     gated = _full_sweep(ts, delay)
-    assert taken == ["scan"] * 20
+    assert taken == GATED_ROUTES[case]
     assert not trees
     monkeypatch.setattr(neighbors, "_SCAN_PAIRS", 0)
     assert _full_sweep(ts, delay) == gated
@@ -503,14 +512,16 @@ def test_small_clouds_take_the_scan_and_build_no_tree(case, searches, monkeypatc
 
 
 def test_size_gate_sends_clouds_past_2_to_the_25_pairs_to_the_tree(searches):
+    # noise in the plane predicts too many pairs for the sweep
     trees, taken = searches
     assert 5792**2 <= neighbors._SCAN_PAIRS < 5793**2
-    fnn_fraction(white_noise(5793, 4), 1, 1)  # 5 792 points at m = 1
+    fnn_fraction(white_noise(5794, 4), 1, 2)  # 5 792 points in the plane
     assert taken == ["scan"] and not trees
-    fnn_fraction(white_noise(5794, 4), 1, 1)  # 5 793 points on a line: the sweep
-    assert taken == ["scan", "sweep"] and not trees
     fnn_fraction(white_noise(5795, 4), 1, 2)  # 5 793 points in the plane
-    assert taken == ["scan", "sweep", "tree"] and len(trees) == 1
+    assert taken == ["scan", "tree"] and len(trees) == 1
+    fnn_fraction(white_noise(5793, 4), 1, 1)  # on a line the sweep serves both sizes
+    fnn_fraction(white_noise(5794, 4), 1, 1)
+    assert taken == ["scan", "tree", "sweep", "sweep"] and len(trees) == 1
 
 
 def test_lorenz_above_the_size_gate_still_builds_a_tree(searches):
@@ -534,27 +545,24 @@ def test_cloud_too_large_in_scale_for_the_scan_keeps_the_tree(searches):
 
 def _assert_sweep_exact(pts, w, budget=None, axis=0):
     """The projection sweep along ``axis`` gives `_bulk_nearest`'s arrays bit
-    for bit, and the rows it leaves open under ``budget`` get them from the
-    tree and the scan."""
+    for bit, or None when ``budget`` runs out first (n^2 pairs never do)."""
     n = len(pts)
     ref_idx, ref_dist = _bulk_nearest(pts, w)
-    idx, dist, pending = _sweep_nearest(pts, w, axis, n * n if budget is None else budget)
-    assert budget is not None or not pending.size  # n^2 exceeds every pair
-    done = np.setdiff1d(np.arange(n), pending)
-    assert np.array_equal(idx[done], ref_idx[done])
-    assert np.array_equal(dist[done], ref_dist[done])
-    for route in (_bulk_nearest, _dense_nearest):
-        rest_idx, rest_dist = route(pts, w, pending)
-        idx[pending], dist[pending] = rest_idx[pending], rest_dist[pending]
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(dist, ref_dist)
-    return idx, dist, pending
+    found = _sweep_nearest(pts, w, axis, n * n if budget is None else budget)
+    if found is None:
+        assert budget is not None
+        return None
+    idx, dist = found
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+    return idx, dist
 
 
 def test_projection_sweep_matches_the_tree_and_the_scan_on_the_criterion_2_clouds():
     # criterion 2's generator; at dimension <= 5 the sequential scan sums in
     # the tree's order, so its distances match bit for bit too
     rng = np.random.default_rng(202)
+    given_up = 0
     for trial in range(100):
         n = int(rng.integers(2, 201))
         dim = int(rng.integers(1, 6))
@@ -565,10 +573,11 @@ def test_projection_sweep_matches_the_tree_and_the_scan_on_the_criterion_2_cloud
         w = int(rng.integers(0, 6))
         ref = [nn_scan(pts, t, w) for t in range(n)]
         for axis in range(dim):  # any axis gives the same arrays
-            idx, dist, _ = _assert_sweep_exact(pts, w, axis=axis)
+            idx, dist = _assert_sweep_exact(pts, w, axis=axis)
             assert idx.tolist() == [i for i, _ in ref]
             assert dist.tolist() == [d for _, d in ref]
-        _assert_sweep_exact(pts, w, budget=n)  # a tiny budget: most rows hand off
+        given_up += _assert_sweep_exact(pts, w, budget=n) is None  # a tiny budget
+    assert given_up
 
 
 def test_projection_sweep_is_bit_identical_on_the_scan_versus_tree_clouds():
@@ -592,7 +601,7 @@ def test_projection_sweep_is_bit_identical_on_the_scan_versus_tree_clouds():
 def test_projection_sweep_keeps_the_smallest_index_among_exact_repeats(delay, m):
     # a period-40 sine repeats every point exactly, so nearest distances tie
     pts = _embedded(sine(3000, 40), delay, m, n=3000 - m * delay)
-    idx, dist, _ = _assert_sweep_exact(pts, delay)
+    _, dist = _assert_sweep_exact(pts, delay)
     assert (dist == 0.0).any()
     _assert_sweep_exact(pts, delay, budget=len(pts))
 
@@ -600,23 +609,59 @@ def test_projection_sweep_keeps_the_smallest_index_among_exact_repeats(delay, m)
 def test_projection_sweep_with_the_band_swallowing_every_candidate():
     pts = np.random.default_rng(3).normal(size=(7, 3))
     for w in (6, 7, 100):
-        idx, dist, pending = _sweep_nearest(pts, w, 0, 49)
-        assert idx.tolist() == [-1] * 7 and np.isinf(dist).all() and not pending.size
-        _, _, pending = _sweep_nearest(pts, w, 2, 10)  # the budget ends first
-        assert pending.size
+        idx, dist = _sweep_nearest(pts, w, 0, 49)
+        assert idx.tolist() == [-1] * 7 and np.isinf(dist).all()
+        assert _sweep_nearest(pts, w, 2, 10) is None  # the budget ends first
 
 
-@pytest.mark.parametrize("contrast, hand_off", [(np.inf, "tree"), (0.0, "scan")])
+@pytest.mark.parametrize(
+    "gate, contrast, hand_off",
+    [(0, np.inf, "tree"), (0, 0.0, "scan"), (None, np.inf, "scan")],
+    ids=["inf-tree", "0.0-scan", "below-the-gate"],
+)
 def test_rows_left_open_by_the_sweep_budget_go_to_the_probe_route(
-    contrast, hand_off, searches, monkeypatch
+    gate, contrast, hand_off, searches, monkeypatch
 ):
+    # past the gate the probe's contrast picks the route; under it an
+    # overrun goes to the scan, never to the tree
     trees, taken = searches
     pts = _embedded(henon(3010), 1, 3, n=3000)
     ref = _bulk_nearest(pts, 1)
+    trees.clear()
     taken.clear()
-    monkeypatch.setattr(neighbors, "_SCAN_PAIRS", 0)
+    if gate is not None:
+        monkeypatch.setattr(neighbors, "_SCAN_PAIRS", gate)
     monkeypatch.setattr(neighbors, "_SCAN_CONTRAST", contrast)
     monkeypatch.setattr(neighbors, "_SWEEP_BUDGET", 1)
     idx, dist = neighbors._nearest(pts, 1)
     assert taken == ["sweep", hand_off]
+    assert len(trees) == taken.count("tree")
     assert np.array_equal(idx, ref[0]) and np.array_equal(dist, ref[1])
+
+
+@pytest.mark.parametrize(
+    "ts, delay, dims",
+    [
+        (henon(3000), 1, 4),
+        (henon(10000), 1, 4),
+        (logistic(4000), 1, 3),
+        (lorenz(5000), 12, 1),
+        (white_noise(3000, 7), 1, 1),
+    ],
+    ids=["henon-3000", "henon-10000", "logistic", "lorenz-T12", "noise"],
+)
+def test_the_sweep_finishes_every_cloud_the_probe_admits(ts, delay, dims, monkeypatch):
+    # a sweep that overran its budget would throw its work away, so the
+    # probe must admit only clouds the budget covers
+    results = []
+    sweep = neighbors._sweep_nearest
+
+    def recorded(*args):
+        results.append(sweep(*args))
+        return results[-1]
+
+    monkeypatch.setattr(neighbors, "_sweep_nearest", recorded)
+    for m in range(1, dims + 1):
+        fnn_fraction(ts, delay, m)
+    assert len(results) == dims
+    assert all(r is not None for r in results)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -184,6 +185,18 @@ def test_numpy_scalars_in_a_config_write_the_same_report(tmp_path, monkeypatch, 
     assert reports[0] == reports[1]
 
 
+def test_path_objects_in_a_config_write_the_same_report(tmp_path, monkeypatch, sine_csv):
+    reports = []
+    for sub, wrap in (("str", str), ("path", pathlib.Path)):
+        (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / sub)
+        config = PipelineConfig(input_path=wrap(sine_csv), output_dir=wrap("."), fixed_delay=1)
+        assert isinstance(config.input_path, str) and isinstance(config.output_dir, str)
+        run_pipeline(config)
+        reports.append((tmp_path / sub / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_a_report_that_fails_to_render_leaves_no_report_file(tmp_path, monkeypatch, sine_csv):
     def broken(self):
         raise TypeError("cannot render")
@@ -303,8 +316,9 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
 def test_noise_artifacts_do_not_depend_on_the_neighbor_search_route(
     tmp_path, monkeypatch, seed, fnn_keys
 ):
-    # a 3 000-point record takes the blocked scan at every m; forcing the
-    # k-d tree everywhere must write the same bytes
+    # a 3 000-point record takes the sweep at m = 1 and the blocked scan
+    # past it; forcing the k-d tree wherever the sweep does not serve must
+    # write the same bytes
     path = write_series(tmp_path / "noise.csv", white_noise(3000, seed).values)
     config = PipelineConfig(input_path=path, output_dir=str(tmp_path / "out"), **fnn_keys)
     scans = []
