@@ -224,7 +224,7 @@ def _cmd_embed(args, parser):
 def _load_cloud(path):
     source = sys.stdin if path == "-" else path
     try:
-        pts = np.loadtxt(source, delimiter=",", comments="#", ndmin=2)
+        pts = np.loadtxt(source, delimiter=",", comments="#", quotechar='"', ndmin=2)
     except OSError as e:
         raise SeriesLoadError(f"cannot read cloud {path}: {e}") from e
     except ValueError as e:

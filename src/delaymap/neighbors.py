@@ -175,19 +175,25 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point of a cloud of at least 2
     points, by the first route that serves it (see the module docstring).
 
-    A cloud too large in scale for the scan's sums (`_scan_pair_sq` is 0)
-    takes the tree (`_bulk_nearest`).  Otherwise `_sweep_nearest` runs
-    when `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a
-    cloud it skips or gives up takes the scan (`_dense_nearest`) when it
-    has at most ``_SCAN_PAIRS`` pairs or its contrast reaches
-    ``_SCAN_CONTRAST``, and the tree otherwise.
+    The mean squared pair distance, pair_sq = 2 mean(sq) over the
+    `_centred` rows, gates the scan: its sums stay below 2 n pair_sq, and
+    its rounding-slack proof needs 4 n pair_sq finite and positive.  A
+    cloud that fails that (its scale overflows, or it has no spread) takes
+    the tree (`_bulk_nearest`).  Otherwise `_sweep_nearest` runs when
+    `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud it
+    skips or gives up takes the scan (`_dense_nearest`) when it has at most
+    ``_SCAN_PAIRS`` pairs or its contrast reaches ``_SCAN_CONTRAST``, and
+    the tree otherwise.
     """
     n = len(points)
-    pair_sq = _scan_pair_sq(points)
-    if not pair_sq:
+    c, sq = _centred(points)
+    with np.errstate(over="ignore"):
+        pair_sq = 2.0 * float(sq.mean())
+    if not 0.0 < 4.0 * n * pair_sq < np.inf:
         return _bulk_nearest(points, w)
     axis = int(np.argmax([col.max() - col.min() for col in points.T]))  # the widest
-    contrast, predicted = _probe(points, w, pair_sq, axis)
+    contrast, predicted = _probe(c, sq, points[:, axis], w, pair_sq)
+    del c, sq  # free before the route runs
     if predicted <= _SWEEP_PREDICTED:
         found = _sweep_nearest(points, w, axis, _SWEEP_BUDGET * n)
         if found is not None:
@@ -197,35 +203,31 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     return _bulk_nearest(points, w)
 
 
-def _scan_pair_sq(points: np.ndarray) -> float:
-    """Mean squared pair distance, 2 * sum of axis variances, or 0 when the
-    scan cannot serve the cloud: its sums stay below 2 * n times this, and
-    its rounding-slack proof needs 4 * n times this finite and positive."""
-    # one axis at a time, so no temporary as large as the cloud; a variance
-    # that overflows only sends the cloud to the tree
-    with np.errstate(over="ignore"):
-        pair_sq = 2.0 * sum(float(axis.var()) for axis in points.T)
-    return pair_sq if 0.0 < 4.0 * len(points) * pair_sq < np.inf else 0.0
+def _centred(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cloud less its mean, c, and each row's squared norm sq = c_i.c_i.
+    A cloud too large in scale gives inf or nan there, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = points - points.mean(axis=0)
+        return c, np.einsum("ij,ij->i", c, c)
 
 
-def _probe(points: np.ndarray, w: int, pair_sq: float, axis: int) -> tuple[float, float]:
+def _probe(
+    c: np.ndarray, sq: np.ndarray, key: np.ndarray, w: int, pair_sq: float
+) -> tuple[float, float]:
     """(contrast, predicted sweep pairs per row) from the admissible nearest
-    distances of ``_PROBE_ROWS`` evenly spaced rows, by brute force.
+    distances of ``_PROBE_ROWS`` evenly spaced rows, by brute force over the
+    `_centred` cloud (c, sq).
 
     The contrast is their median over the RMS pair distance sqrt(pair_sq),
     or 0 (keep the tree) when no probe row has an admissible neighbor.  The
-    prediction is the mean count of points whose coordinate on ``axis``
-    lies within a probe row's nearest distance of its own; the sweep along
-    it examined 1.7-2 times that many pairs per row on every cloud tried.
+    prediction is the mean count of points whose ``key`` coordinate lies
+    within a probe row's nearest distance of its own; the sweep along that
+    axis examined 1.7-2 times that many pairs per row on every cloud tried.
     """
-    n = len(points)
+    n = len(c)
     rows = np.unique(np.linspace(0, n - 1, _PROBE_ROWS).astype(np.int64))
-    # squared distances in centred coordinates, one row at a time to keep
-    # temporaries small: a route estimate needs the same value every run,
-    # not the exact distance
-    c = points - points.mean(axis=0)
-    sq = np.einsum("ij,ij->i", c, c)
-    key = points[:, axis]
+    # squared distances one row at a time to keep temporaries small: a
+    # route estimate needs the same value every run, not the exact distance
     nearest, within = np.empty(rows.size), 0
     for k, r in enumerate(rows):
         d2 = sq - 2.0 * (c @ c[r])
@@ -300,9 +302,9 @@ def _sweep_nearest(
 def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point by a blocked scan of all pairs.
 
-    Same contract as `_bulk_nearest`.  In centred coordinates c, row i
-    ranks column j by sq_j - 2 c_i.c_j (its squared distance less sq_i),
-    computed for a block of rows and columns by one product of the
+    Same contract as `_bulk_nearest`.  In the `_centred` cloud (c, sq),
+    row i ranks column j by sq_j - 2 c_i.c_j (its squared distance less
+    sq_i), computed for a block of rows and columns by one product of the
     augmented rows [-2 c_i, 1] and [c_j, sq_j]; the temporal band is set
     to +inf by index.  Every column within a proven rounding slack of the
     row minimum stays a candidate, and `_settle` recomputes the
@@ -314,16 +316,12 @@ def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     w = min(w, n)  # a wider band excludes nothing more
     nn_idx = np.full(n, -1, dtype=np.int64)
     nn_dist = np.full(n, np.inf)
+    c, sq = _centred(points)
     # the augmented rows [-2 c_i, 1] and, transposed, [c_j, sq_j]
-    lhs = np.empty((n, m + 1))
-    c = lhs[:, :m]
-    np.subtract(points, points.mean(axis=0), out=c)
-    sq = np.einsum("ij,ij->i", c, c)
+    lhs = np.column_stack((-2.0 * c, np.ones(n)))
     rhs = np.empty((m + 1, n))  # row-major: 3x faster products than a transposed view
     rhs[:m] = c.T
     rhs[m] = sq
-    c *= -2.0
-    lhs[:, m] = 1.0
     # With u the unit roundoff and S = sq_i + max(sq): a ranking value is
     # sq_ij - sq_i to within (3m + 6) u S (rounding of the centring, of sq
     # and of the product), and the tree's rounding lets its winner's

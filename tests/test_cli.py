@@ -203,6 +203,19 @@ def test_entropy_on_a_cloud_file(tmp_path, capsys):
     assert lines[2] == "0.5,1.0,1.0"
 
 
+def test_entropy_reads_a_quoted_cloud_like_the_plain_one(tmp_path, capsys):
+    rows = [(0.0, 0.0), (0.25, 1.0), (1.0, 0.5), (0.75, 0.125)]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("".join(f"{x},{y}\n" for x, y in rows))
+    quoted.write_text("".join(f'"{x}",{y}\n' if i % 2 else f'"{x}","{y}"\n'
+                              for i, (x, y) in enumerate(rows)))
+    scalings = []
+    for cloud in (plain, quoted):
+        assert main(["entropy", str(cloud)]) == 0
+        scalings.append(capsys.readouterr().out)
+    assert scalings[0] == scalings[1]
+
+
 def test_entropy_zero_spread_needs_explicit_r(tmp_path, capsys):
     cloud = tmp_path / "flat.csv"
     cloud.write_text("1.0,2.0\n1.0,2.0\n")

@@ -534,13 +534,21 @@ def test_lorenz_above_the_size_gate_still_builds_a_tree(searches):
 
 def test_cloud_too_large_in_scale_for_the_scan_keeps_the_tree(searches):
     trees, taken = searches
-    pts = np.random.default_rng(152).normal(size=(300, 3)) * 3e152
-    assert neighbors._scan_pair_sq(pts) == 0.0  # 4 n pair_sq overflows
+    pts = np.random.default_rng(152).normal(size=(300, 3)) * 3e152  # 4 n pair_sq overflows
     idx, dist = neighbors._nearest(pts, 1)
     assert taken == ["tree"] and len(trees) == 1
     ref = [nn_scan(pts, t, 1) for t in range(len(pts))]
     assert idx.tolist() == [i for i, _ in ref]
     assert dist.tolist() == [d for _, d in ref]
+
+
+def test_cloud_without_spread_keeps_the_tree(searches):
+    # pair_sq is 0, so the scan's gate fails; the 299 tied points stay few
+    # enough that the tree's escalation through them is cheap
+    trees, taken = searches
+    entry = fnn_fraction(series(*[0.0] * 299, 1.0), 1, 1)
+    assert entry == FnnEntry(1, 1 / 299, 299, 1)
+    assert taken == ["tree"] and len(trees) == 1
 
 
 def _assert_sweep_exact(pts, w, budget=None, axis=0):
