@@ -142,31 +142,53 @@ def partition_boxes(cloud: PointCloud, r: float) -> BoxHistogram:
     box of its own).  Axes with zero spread collapse to lattice index 0.
     An r so small that a lattice index would overflow int64 is rejected.
 
-    Each point's lattice row is folded into one order-preserving int64
-    key and the keys are sorted once; the run lengths are the counts, in
-    lexicographic cell order (Liebovitch & Toth, Phys. Lett. A 141, 386,
-    1989).  The histogram keeps the lattice for ``occupied``.
+    The anchor is the per-axis minimum, with -0.0 read as +0.0.  Every
+    scaled coordinate (p_k - anchor_k)/r is then >= 0, so truncating it
+    to int64 gives its lattice index.  Each point's lattice row is folded
+    into one order-preserving int64 key and the keys are sorted once; the
+    run lengths are the counts, in lexicographic cell order (Liebovitch &
+    Toth, Phys. Lett. A 141, 386, 1989).  The histogram keeps the lattice
+    for ``occupied``.
     """
+    pts = cloud.points
+    anchor = _anchor(pts)
+    lattice = np.empty(pts.shape, dtype=np.int64)
+    counts = _box_counts(pts, anchor, r, np.empty(pts.shape), lattice)
+    return BoxHistogram(
+        r=float(r),
+        counts=counts,
+        total=len(pts),
+        anchor=tuple(anchor.tolist()),
+        lattice=lattice,
+    )
+
+
+def _anchor(pts: np.ndarray) -> np.ndarray:
+    """Per-axis minima, taken one column at a time (an axis-0 reduction
+    over a narrow array is far slower); + 0.0 turns a -0.0 minimum into
+    +0.0, as which of two signed zeros a min returns is not fixed."""
+    return np.array([col.min() for col in pts.T]) + 0.0
+
+
+def _box_counts(
+    pts: np.ndarray, anchor: np.ndarray, r: float, scaled: np.ndarray, lattice: np.ndarray
+) -> np.ndarray:
+    """Occupancy counts of the r-box partition anchored at anchor, in
+    lexicographic cell order.  scaled (float64) and lattice (int64), both
+    shaped like pts, are overwritten; lattice ends up holding each
+    point's cell."""
     if r <= 0:
         raise ValueError(f"box edge must be positive, got {r}")
-    pts = cloud.points
-    anchor = pts.min(axis=0)
-    scaled = (pts - anchor) / r
+    np.subtract(pts, anchor, out=scaled)
+    scaled /= r
     cells_per_axis = scaled.max()
     if not cells_per_axis < 2.0**63:
         raise ValueError(
             f"box edge {r} is too small for the cloud's spread: "
             f"{cells_per_axis:.3g} boxes per axis overflow the int64 lattice"
         )
-    lattice = np.floor(scaled).astype(np.int64)
-    _, counts = np.unique(_cell_keys(lattice), return_counts=True)
-    return BoxHistogram(
-        r=float(r),
-        counts=counts,
-        total=len(pts),
-        anchor=tuple(float(a) for a in anchor),
-        lattice=lattice,
-    )
+    np.copyto(lattice, scaled, casting="unsafe")  # truncation == floor on >= 0
+    return np.unique(_cell_keys(lattice), return_counts=True)[1]
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -202,16 +224,28 @@ def shannon_entropy(hist: BoxHistogram) -> float:
 
     Empty boxes are never stored, so the 0*log(0) case cannot arise.
     """
-    p = hist.probabilities()
+    return _entropy_bits(hist.counts, hist.total)
+
+
+def _entropy_bits(counts: np.ndarray, total: int) -> float:
+    p = counts / total
     return float(-(p * np.log2(p)).sum()) + 0.0  # normalize -0.0 away
 
 
 def entropy_scaling(cloud: PointCloud, r_values) -> EntropyScaling:
     """Evaluate S(r) for each box size, preserving the given (coarse
-    to fine) order."""
-    rs = [float(r) for r in r_values]
+    to fine) order.
+
+    Equal, box size by box size, to ``shannon_entropy(partition_boxes(
+    cloud, r))``; the anchor and the two lattice buffers are made once
+    for the whole ladder.
+    """
+    pts = cloud.points
+    anchor = _anchor(pts)
+    scaled, lattice = np.empty(pts.shape), np.empty(pts.shape, dtype=np.int64)
     entries = tuple(
-        (r, shannon_entropy(partition_boxes(cloud, r))) for r in rs
+        (r, _entropy_bits(_box_counts(pts, anchor, r, scaled, lattice), len(pts)))
+        for r in map(float, r_values)
     )
     return EntropyScaling(entries=entries, total=len(cloud))
 

@@ -308,11 +308,11 @@ def test_missing_input_exits_3(tmp_path, capsys, command):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_entropy_rejects_a_non_finite_cloud_row(tmp_path, capsys, cell):
     cloud = tmp_path / "cloud.csv"
-    cloud.write_text(f"# delaymap embed\n0.0,0.0\n0.5,{cell}\n1.0,1.0\n")
+    cloud.write_text(f"# delaymap embed\n0.0,0.0\n0.5,{cell}\n{cell},1.0\n")
     code = main(["entropy", str(cloud)])
     captured = capsys.readouterr()
     assert code == 3
-    assert "non-finite" in captured.err and "row 2" in captured.err
+    assert f"{cloud}: non-finite value in data row 2" in captured.err
     assert captured.out == ""
 
 

@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from delaymap import (
     default_r_ladder,
     delay_embed,
     entropy_scaling,
+    henon,
     information_dimension,
     lorenz,
     partition_boxes,
@@ -178,6 +181,71 @@ def test_lorenz_entropies_equal_the_row_sort_recount():
     keyed = [shannon_entropy(partition_boxes(pts, r)) for r in rs]
     assert keyed == [entropy_of(row_sort_counts(pts.points, r)) for r in rs]
     assert [s for _, s in entropy_scaling(pts, rs[:-1]).entries] == keyed[:-1]
+
+
+def _ladder_clouds():
+    """Clouds of every layout entropy_scaling meets, by name."""
+    lor = lorenz(3000)
+    strided = np.lib.stride_tricks.sliding_window_view(lor.values, 2 * 17 + 1)[:, ::17]
+    text = io.StringIO("\n".join(",".join(map(repr, row)) for row in strided.tolist()))
+    flat = henon(2000).values
+    zeros = np.zeros(2002)
+    zeros[1::2] = -0.0
+    return {
+        "strided-delay": cloud_from_points(strided),
+        "loaded": cloud_from_points(np.loadtxt(text, delimiter=",")),
+        "reversed-view": cloud_from_points(strided[:, ::-1]),
+        "zero-spread-axis": cloud_from_points(np.c_[flat, np.full_like(flat, 2.5), flat[::-1]]),
+        "signed-zero-column": cloud_from_points(np.c_[zeros, np.linspace(-1.0, 1.0, 2002)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_ladder_clouds()))
+def test_entropy_scaling_equals_partition_entropy_bit_for_bit(name):
+    pts = _ladder_clouds()[name]
+    spread = max(float(np.ptp(col)) for col in pts.points.T)
+    rs = [*default_r_ladder(spread), spread / 2048]
+    laddered = np.array([s for _, s in entropy_scaling(pts, rs).entries])
+    one_by_one = np.array([shannon_entropy(partition_boxes(pts, r)) for r in rs])
+    assert laddered.tobytes() == one_by_one.tobytes()
+
+
+def test_a_ladder_whose_finest_edge_overflows_fails_like_one_partition():
+    segment = cloud_from_points(np.linspace(0.0, 1.0, 1000)[:, None])
+    with pytest.raises(ValueError, match="int64") as one:
+        partition_boxes(segment, 1e-25)
+    with pytest.raises(ValueError, match="int64") as ladder:
+        entropy_scaling(segment, [0.5, 0.25, 1e-25])
+    assert str(ladder.value) == str(one.value)
+
+
+@pytest.mark.parametrize("negative_first", [False, True])
+def test_signed_zero_minimum_anchors_at_plus_zero(negative_first):
+    zeros = np.zeros(2002)
+    zeros[int(not negative_first)::2] = -0.0
+    line = np.linspace(-1.0, 1.0, 2002)
+    h = partition_boxes(cloud_from_points(np.c_[zeros, line]), 0.1)
+    assert h.anchor[0] == 0.0 and math.copysign(1.0, h.anchor[0]) == 1.0
+    plain = partition_boxes(cloud_from_points(np.c_[np.zeros(2002), line]), 0.1)
+    assert np.array_equal(h.lattice, plain.lattice)
+    assert np.array_equal(h.counts, plain.counts)
+
+
+def test_ladder_memory_is_bounded_by_the_cloud_not_the_ladder():
+    pts = cloud_from_points(np.random.default_rng(41).normal(size=(20000, 3)))
+    peaks = {}
+    for steps in (16, 64):
+        ladder = default_r_ladder(8.0, steps)
+        tracemalloc.start()
+        try:
+            entropy_scaling(pts, ladder)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # two lattice buffers, then the keys and np.unique's sorted copy
+    assert peaks[16] <= 5 * pts.points.nbytes
+    # 48 more (r, S) entries are all that a longer ladder may add
+    assert peaks[64] - peaks[16] <= 16 * 1024
 
 
 def test_single_point_scaling_is_flat_zero():
