@@ -73,9 +73,6 @@ class BoxHistogram:
         cells = map(tuple, rows[first].tolist())
         return dict(zip(cells, self.counts.tolist(), strict=True))
 
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.total
-
 
 @dataclass(frozen=True)
 class EntropyScaling:

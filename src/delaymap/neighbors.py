@@ -181,9 +181,9 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     cloud that fails that (its scale overflows, or it has no spread) takes
     the tree (`_bulk_nearest`).  Otherwise `_sweep_nearest` runs when
     `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud it
-    skips or gives up takes the scan (`_dense_nearest`) when it has at most
-    ``_SCAN_PAIRS`` pairs or its contrast reaches ``_SCAN_CONTRAST``, and
-    the tree otherwise.
+    skips or gives up takes the scan (`_dense_nearest`, handed the same c
+    and sq) when it has at most ``_SCAN_PAIRS`` pairs or its contrast
+    reaches ``_SCAN_CONTRAST``, and the tree otherwise.
     """
     n = len(points)
     c, sq = _centred(points)
@@ -193,13 +193,12 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
         return _bulk_nearest(points, w)
     axis = int(np.argmax([col.max() - col.min() for col in points.T]))  # the widest
     contrast, predicted = _probe(c, sq, points[:, axis], w, pair_sq)
-    del c, sq  # free before the route runs
     if predicted <= _SWEEP_PREDICTED:
         found = _sweep_nearest(points, w, axis, _SWEEP_BUDGET * n)
         if found is not None:
             return found
     if n * n <= _SCAN_PAIRS or contrast >= _SCAN_CONTRAST:
-        return _dense_nearest(points, w)
+        return _dense_nearest(points, w, c, sq)
     return _bulk_nearest(points, w)
 
 
@@ -207,7 +206,8 @@ def _centred(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cloud less its mean, c, and each row's squared norm sq = c_i.c_i.
     A cloud too large in scale gives inf or nan there, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c = points - points.mean(axis=0)
+        # column by column: an axis-0 mean over a narrow array is far slower
+        c = points - np.array([col.mean() for col in points.T])
         return c, np.einsum("ij,ij->i", c, c)
 
 
@@ -299,7 +299,9 @@ def _sweep_nearest(
     return who[back], best[back]
 
 
-def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+def _dense_nearest(
+    points: np.ndarray, w: int, c: np.ndarray, sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point by a blocked scan of all pairs.
 
     Same contract as `_bulk_nearest`.  In the `_centred` cloud (c, sq),
@@ -316,7 +318,6 @@ def _dense_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     w = min(w, n)  # a wider band excludes nothing more
     nn_idx = np.full(n, -1, dtype=np.int64)
     nn_dist = np.full(n, np.inf)
-    c, sq = _centred(points)
     # the augmented rows [-2 c_i, 1] and, transposed, [c_j, sq_j]
     lhs = np.column_stack((-2.0 * c, np.ones(n)))
     rhs = np.empty((m + 1, n))  # row-major: 3x faster products than a transposed view
@@ -420,26 +421,16 @@ def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     k = min(n, 3)
     while pending.size:
         d, i = tree.query(points[pending], k=k)
-        rows = np.arange(len(pending))
         admissible = (np.abs(i - pending[:, None]) > w) & (i < n)
-        has_adm = admissible.any(axis=1)
-        first_pos = np.argmax(admissible, axis=1)
-        d_star = d[rows, first_pos]
+        d_star = np.where(admissible, d, np.inf).min(axis=1)
         tie_min = np.where(admissible & (d == d_star[:, None]), i, n).min(axis=1)
-        exhausted = k >= n
-        if exhausted:
-            ok = has_adm
-            none_at_all = ~has_adm
-        else:
-            # if the k-th retrieved distance ties the winner, deeper
-            # candidates could still tie it — escalate those rows
-            ok = has_adm & (d[:, -1] > d_star)
-            none_at_all = np.zeros(len(pending), dtype=bool)
-        nn_idx[pending[ok]] = tie_min[ok]
-        nn_dist[pending[ok]] = d_star[ok]
-        pending = pending[~(ok | none_at_all)]
-        if exhausted:
-            break
+        # a row is settled once the k-th distance passes its best admissible
+        # one (no deeper candidate can tie it) or the whole cloud was read
+        done = (k >= n) | (d[:, -1] > d_star)
+        write = done & (tie_min < n)
+        nn_idx[pending[write]] = tie_min[write]
+        nn_dist[pending[write]] = d_star[write]
+        pending = pending[~done]
         k = min(n, max(2 * k, 2 * w + 3))
     return nn_idx, nn_dist
 

@@ -139,17 +139,22 @@ def load_csv(
 
 def _read_lines(source):
     """(name, lines) of a path or an open text stream, the lines as
-    csv.reader iterates them; an unreadable or non-UTF-8 source raises
-    SeriesLoadError."""
+    csv.reader iterates them, less a leading UTF-8 byte-order mark (as
+    spreadsheet "CSV UTF-8" exports write); an unreadable or non-UTF-8
+    source raises SeriesLoadError."""
     stream = hasattr(source, "read")
     name = getattr(source, "name", "<stream>") if stream else os.fspath(source)
     try:
         if stream:
-            return name, list(source)
-        with open(name, "r", newline="", encoding="utf-8") as fh:
-            return name, list(fh)
+            lines = list(source)
+        else:
+            with open(name, "r", newline="", encoding="utf-8") as fh:
+                lines = list(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
+    return name, lines
 
 
 def _parse_column(lines, column, skip_header, delimiter, name):

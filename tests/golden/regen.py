@@ -140,7 +140,8 @@ def _run_step(step: str) -> dict:
         if stdin_file:
             # the interpreter's own stdin: UTF-8, line endings untranslated
             raw = stack.enter_context(open(stdin_file, "rb"))
-            stack.enter_context(_swapped("stdin", io.TextIOWrapper(raw, "utf-8", newline="\n")))
+            text = stack.enter_context(io.TextIOWrapper(raw, "utf-8", newline="\n"))
+            stack.enter_context(_swapped("stdin", text))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         try:

@@ -27,7 +27,13 @@ from delaymap import (
     white_noise,
 )
 from delaymap import neighbors
-from delaymap.neighbors import _bulk_nearest, _dense_nearest, _sweep_nearest, _tree_distance
+from delaymap.neighbors import (
+    _bulk_nearest,
+    _centred,
+    _dense_nearest,
+    _sweep_nearest,
+    _tree_distance,
+)
 from oracles import fnn_recount, nn_scan
 
 
@@ -357,7 +363,7 @@ def test_params_and_curve_validation():
 
 def _assert_same_search(pts, w):
     tree_idx, tree_dist = _bulk_nearest(pts, w)
-    scan_idx, scan_dist = _dense_nearest(pts, w)
+    scan_idx, scan_dist = _dense_nearest(pts, w, *_centred(pts))
     assert np.array_equal(scan_idx, tree_idx)
     assert np.array_equal(scan_dist, tree_dist)
 
@@ -385,14 +391,18 @@ def test_dense_scan_is_bit_identical_to_the_tree_on_high_m_noise(offset):
 
 def test_dense_scan_edge_cases():
     two = np.array([[0.0, 1.0], [3.0, 5.0]])
-    idx, dist = _dense_nearest(two, 0)
+    idx, dist = _dense_nearest(two, 0, *_centred(two))
     assert idx.tolist() == [1, 0] and dist.tolist() == [5.0, 5.0]
     pts = np.random.default_rng(3).normal(size=(7, 3))
     for w in (6, 7, 100):  # the band swallows every candidate
-        idx, dist = _dense_nearest(pts, w)
+        idx, dist = _dense_nearest(pts, w, *_centred(pts))
         assert idx.tolist() == [-1] * 7 and np.isinf(dist).all()
-    idx, _ = _dense_nearest(pts, 5)  # only the two end rows see each other
+    idx, _ = _dense_nearest(pts, 5, *_centred(pts))  # only the two end rows see each other
     assert idx.tolist() == [6, -1, -1, -1, -1, -1, 0]
+    # the tree settles the end rows early and reads the whole cloud for the rest
+    idx, dist = _bulk_nearest(pts, 5)
+    assert idx.tolist() == [6, -1, -1, -1, -1, -1, 0]
+    assert dist[0] == dist[6] < np.inf and np.isinf(dist[1:6]).all()
 
 
 def test_dense_scan_matches_the_sequential_scan():
@@ -401,7 +411,7 @@ def test_dense_scan_matches_the_sequential_scan():
         n = int(rng.integers(2, 90))
         pts = rng.integers(0, 3, size=(n, 4)).astype(float) if trial % 2 else rng.normal(size=(n, 9))
         w = int(rng.integers(0, 4))
-        idx, dist = _dense_nearest(pts, w)
+        idx, dist = _dense_nearest(pts, w, *_centred(pts))
         for t in range(n):
             ref_i, ref_d = nn_scan(pts, t, w)
             assert idx[t] == ref_i
@@ -495,6 +505,23 @@ def test_attractors_keep_the_tree_with_one_tree_per_dimension(case, routes):
     _full_sweep(*ATTRACTORS[case])
     assert taken == LIFTED_ROUTES[case]
     assert len(trees) == taken.count("tree")
+
+
+@pytest.mark.parametrize(
+    "case, m, route",
+    [("henon", 2, "sweep"), ("noise", 12, "scan"), ("lorenz-T10", 3, "tree")],
+    ids=["sweep", "scan", "tree"],
+)
+def test_each_search_centres_the_cloud_once(case, m, route, routes, monkeypatch):
+    # the probe and the scan share one centred cloud; LIFTED_ROUTES gives the route
+    trees, taken = routes
+    calls = []
+    centred = neighbors._centred
+    monkeypatch.setattr(neighbors, "_centred", lambda pts: calls.append(1) or centred(pts))
+    ts, delay = (white_noise(3000, 7), 1) if case == "noise" else ATTRACTORS[case]
+    fnn_fraction(ts, delay, m)
+    assert taken == [route] == [LIFTED_ROUTES[case][m - 1]]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("case", ["noise", "henon", "lorenz-T1", "lorenz-T10", "sine-T1"])

@@ -138,6 +138,21 @@ def test_plain_text_never_reaches_the_row_scan(tmp_path, monkeypatch, text, kwar
     load_csv(path, **kwargs)
 
 
+@pytest.mark.parametrize("kind", SOURCES)
+@pytest.mark.parametrize(
+    "text, kwargs",
+    [("price,t\n1.5,0\n2.5,1\n", {"column": "price"}), ("1.0\n2.0\n3.0\n", {"column": 0})],
+    ids=["named-column", "index-column"],
+)
+def test_loader_drops_a_leading_byte_order_mark(tmp_path, text, kwargs, kind):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF
+    path = tmp_path / "series.csv"
+    plain = load_csv(_open(text, kind, path), **kwargs)
+    marked = load_csv(_open("\ufeff" + text, kind, path), **kwargs)
+    assert marked.values.tolist() == plain.values.tolist()
+    assert marked.label == plain.label
+
+
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
