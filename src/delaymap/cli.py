@@ -17,12 +17,20 @@ be piped independently.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import get_args, get_origin
+
+# The neighbour search caps every matrix product (neighbors._SCAN_PRODUCT)
+# so that OpenBLAS runs it on one thread, yet OpenBLAS would still start a
+# worker thread that spins idle for the whole process.  numpy's and scipy's
+# bundled OpenBLAS read this when they load; a value the caller set wins.
+# Only the command sets it: importing the library leaves os.environ alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -222,9 +230,17 @@ def _cmd_embed(args, parser):
 # ------------------------------------------------------------- entropy
 
 def _load_cloud(path):
-    source = sys.stdin if path == "-" else path
     try:
-        pts = np.loadtxt(source, delimiter=",", comments="#", quotechar='"', ndmin=2)
+        if path == "-":
+            # drop a leading byte-order mark as "utf-8-sig" does for a path;
+            # the other lines stream on, never all held as a list
+            first = sys.stdin.readline().removeprefix("\ufeff")
+            source = itertools.chain([first], sys.stdin)
+        else:
+            source = path
+        pts = np.loadtxt(
+            source, delimiter=",", comments="#", quotechar='"', ndmin=2, encoding="utf-8-sig"
+        )
     except OSError as e:
         raise SeriesLoadError(f"cannot read cloud {path}: {e}") from e
     except ValueError as e:

@@ -104,19 +104,25 @@ def lorenz(
     """
     _check_lorenz(n, dt, transient_skip)
 
-    def deriv(x, y, z):
-        return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
-
+    # Each stage writes the derivative (sigma (y - x), x (rho - z) - y,
+    # x y - beta z) out: a function call per stage costs about a quarter
+    # of the loop.  h * k rounds exactly as 0.5 * dt * k does evaluated
+    # left to right, so every sample is that of the textbook RK4 step.
+    h = 0.5 * dt
+    w = dt / 6.0
     x, y, z = (float(v) for v in initial)
     out = np.empty(n)
     for i in range(-transient_skip, n):
-        k1x, k1y, k1z = deriv(x, y, z)
-        k2x, k2y, k2z = deriv(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, z + 0.5 * dt * k1z)
-        k3x, k3y, k3z = deriv(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, z + 0.5 * dt * k2z)
-        k4x, k4y, k4z = deriv(x + dt * k3x, y + dt * k3y, z + dt * k3z)
-        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        y = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        z = z + (dt / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
+        k1x, k1y, k1z = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+        ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
+        k2x, k2y, k2z = sigma * (ay - ax), ax * (rho - az) - ay, ax * ay - beta * az
+        ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
+        k3x, k3y, k3z = sigma * (ay - ax), ax * (rho - az) - ay, ax * ay - beta * az
+        ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x, k4y, k4z = sigma * (ay - ax), ax * (rho - az) - ay, ax * ay - beta * az
+        x = x + w * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y = y + w * (k1y + 2 * k2y + 2 * k3y + k4y)
+        z = z + w * (k1z + 2 * k2z + 2 * k3z + k4z)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise DivergenceError(
                 "lorenz integration blew up", iteration=i + transient_skip + 1

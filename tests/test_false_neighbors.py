@@ -140,15 +140,65 @@ def test_bulk_search_is_bit_identical_to_a_full_depth_query():
     assert np.array_equal(dist, ref_dist)
 
 
-def test_import_leaves_scipy_spatial_unloaded():
+def _fresh_python(code, **env):
+    """Stripped stdout of `code` in a new interpreter that imports this
+    delaymap; each `env` entry is set, or removed when None."""
     src = os.path.dirname(os.path.dirname(delaymap.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, delaymap; print('scipy.spatial' in sys.modules)"
+    full = dict(os.environ, PYTHONPATH=src)
+    for key, value in env.items():
+        full.pop(key, None)
+        if value is not None:
+            full[key] = value
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=full, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    code = "import sys, delaymap; print('scipy.spatial' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def test_import_loads_no_estimator_and_leaves_the_environment_alone():
+    code = (
+        "import os, sys; before = dict(os.environ); import delaymap;"
+        " print('numpy' in sys.modules, dict(os.environ) == before,"
+        " sorted(m for m in sys.modules if m.startswith('delaymap')))"
+    )
+    out = _fresh_python(code, OPENBLAS_NUM_THREADS=None)
+    assert out == "False True ['delaymap', 'delaymap._version']"
+
+
+def test_every_public_name_is_listed_and_resolves():
+    code = (
+        "import os; before = dict(os.environ); import delaymap;"
+        " print([n for n in delaymap.__all__ if n not in dir(delaymap)]);"
+        " print([n for n in delaymap.__all__ if getattr(delaymap, n, None) is None]);"
+        " from delaymap import *; from delaymap import neighbors;"
+        " print(TimeSeries is delaymap.series.TimeSeries, neighbors is delaymap.neighbors,"
+        " dict(os.environ) == before)"
+    )
+    out = _fresh_python(code, OPENBLAS_NUM_THREADS=None)
+    assert out.splitlines() == ["[]", "[]", "True True True"]
+
+
+@pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")], ids=["unset", "caller-set"])
+def test_cli_import_sets_one_blas_thread_unless_the_caller_chose(caller, seen):
+    code = "import os; from delaymap import cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=caller) == seen
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cli_process_runs_one_thread():
+    # a product past OpenBLAS's threading cut-off, which would wake a pool
+    code = (
+        "import os; from delaymap import cli; import numpy as np;"
+        " np.ones((400, 400)) @ np.ones((400, 400));"
+        " print(len(os.listdir('/proc/self/task')))"
+    )
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "1"
 
 
 @pytest.mark.parametrize(

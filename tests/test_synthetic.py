@@ -102,6 +102,21 @@ def test_lorenz_is_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_lorenz_samples_are_pinned_bit_for_bit():
+    # the RK4 step's operations and their order fix every bit of the output
+    v = lorenz(2000).values
+    assert [v[i].hex() for i in (0, 1, 999, 1999)] == [
+        "-0x1.331fc1b0dfe80p+2", "-0x1.2df80873a15b7p+2",
+        "0x1.af220b39b67c9p+3", "0x1.3bbd530b32e00p+3",
+    ]
+
+
+def test_lorenz_divergence_names_the_step():
+    with pytest.raises(DivergenceError) as exc:
+        lorenz(100, dt=0.05, initial=(1e30, 1e30, 1e30), transient_skip=10)
+    assert exc.value.iteration == 2
+
+
 def test_lorenz_dt_validation():
     with pytest.raises(ValueError):
         lorenz(10, dt=0.0)

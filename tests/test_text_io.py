@@ -153,6 +153,21 @@ def test_loader_drops_a_leading_byte_order_mark(tmp_path, text, kwargs, kind):
     assert marked.label == plain.label
 
 
+@pytest.mark.parametrize("kind", ["path", "stdin"])
+def test_entropy_drops_a_leading_byte_order_mark(tmp_path, capsys, monkeypatch, kind):
+    text = "0.1,0.2\n0.3,0.5\n0.7,0.1\n0.9,0.95\n"
+
+    def entropy(body):
+        source = _open(body, kind, tmp_path / "cloud.csv")
+        if kind == "stdin":
+            monkeypatch.setattr("sys.stdin", source)
+            source = "-"
+        assert main(["entropy", source]) == 0
+        return capsys.readouterr().out
+
+    assert entropy("\ufeff" + text) == entropy(text)
+
+
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
