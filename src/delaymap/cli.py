@@ -17,10 +17,10 @@ be piped independently.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import get_args, get_origin
@@ -58,7 +58,7 @@ from .pipeline import (
     write_rows,
     write_scaling_csv,
 )
-from .series import MISSING_POLICIES, _read_lines, _read_rows, load_csv
+from .series import MISSING_POLICIES, _read_rows, load_csv, text_lines
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -130,9 +130,13 @@ def _add_config_flags(p: argparse.ArgumentParser, names, defaults: bool = True) 
             p.add_argument(flag, type=CONFIG_TYPES[name], **kwargs)
 
 
+def _source(path):
+    """What a reader opens for an input argument: '-' means stdin."""
+    return sys.stdin if path == "-" else path
+
+
 def _load_series(args):
-    source = sys.stdin if args.input == "-" else args.input
-    return load_csv(source, **{name: getattr(args, name) for name in _SERIES_FLAGS})
+    return load_csv(_source(args.input), **{name: getattr(args, name) for name in _SERIES_FLAGS})
 
 
 def _emit_summary(args, payload: dict) -> None:
@@ -231,18 +235,10 @@ def _cmd_embed(args, parser):
 
 def _load_cloud(path):
     try:
-        if path == "-":
-            # drop a leading byte-order mark as "utf-8-sig" does for a path;
-            # the other lines stream on, never all held as a list
-            first = sys.stdin.readline().removeprefix("\ufeff")
-            source = itertools.chain([first], sys.stdin)
-        else:
-            source = path
-        pts = np.loadtxt(
-            source, delimiter=",", comments="#", quotechar='"', ndmin=2, encoding="utf-8-sig"
-        )
-    except OSError as e:
-        raise SeriesLoadError(f"cannot read cloud {path}: {e}") from e
+        with text_lines(_source(path)) as (_, lines), warnings.catch_warnings():
+            # an empty cloud is reported below, without numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pts = np.loadtxt(lines, delimiter=",", comments="#", quotechar='"', ndmin=2)
     except ValueError as e:
         raise SeriesLoadError(f"bad cloud data in {path}: {e}") from e
     if pts.size == 0:
@@ -279,9 +275,10 @@ def _read_scaling_csv(path) -> list[tuple[float, float]]:
     header; any later row that is not at least two numeric cells is a
     load error, never silently dropped.
     """
-    name, lines = _read_lines(sys.stdin if path == "-" else path)
+    with text_lines(_source(path)) as (name, lines):
+        rows = _read_rows(lines, ",", name)
     entries = []
-    for i, (lineno, row) in enumerate(_read_rows(lines, ",", name)):
+    for i, (lineno, row) in enumerate(rows):
         try:
             pair = (float(row[0]), float(row[-1])) if len(row) > 1 else None
         except ValueError:

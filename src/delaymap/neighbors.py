@@ -58,11 +58,12 @@ __all__ = [
 
 #: Largest pair count n^2 (n <= 5 792) for which a cloud the sweep did not
 #: finish takes the scan instead of the tree, so a short record never
-#: imports scipy.spatial (0.5-0.6 s).  FNN stage of one fresh process, white
-#: noise m = 1..8, sweep at m = 1 then the scan vs the tree plus its import
-#: (2-vCPU host, median of 3): 78 vs 234 ms at n = 3 000, 160 vs 299 at
-#: 5 000, 288 vs 366 at 7 000, 400 vs 415 at 8 000 and 676 vs 508 at 10 000,
-#: so the crossover lies near n = 8 000-9 000 and 2^25 leaves margin.
+#: imports scipy.spatial (0.14-0.24 s after numpy).  FNN stage of one fresh
+#: process, white noise m = 1..8, sweep at m = 1 then the scan vs the tree
+#: plus its import (2-vCPU host, one BLAS thread, median of 3): 77 vs 230 ms
+#: at n = 3 000, 174 vs 315 at 5 000, 298 vs 410 at 7 000, 499 vs 434 at
+#: 8 000 and 809 vs 600 at 10 000, so the crossover lies near n = 7 000-8 000
+#: and 2^25 leaves margin.
 _SCAN_PAIRS = 1 << 25
 #: Evenly spaced rows whose nearest-neighbor distances the route probe reads.
 _PROBE_ROWS = 32
@@ -79,8 +80,6 @@ _SWEEP_MARGIN = 1e-12
 #: overtakes the k-d tree at a contrast of about 0.26 for n = 3 000 and
 #: about 0.33 for n = 10 000 (its cost grows as n^2); this lies between.
 _SCAN_CONTRAST = 0.3
-#: Largest scan block (rows x columns), whatever the cloud size.
-_SCAN_ELEMENTS = 1 << 16
 #: Largest multiply-add count of one block product: OpenBLAS runs a product
 #: this small on one thread, and its extra threads cost more CPU than they
 #: save wall time on products this thin.
@@ -312,7 +311,8 @@ def _dense_nearest(
     row minimum stays a candidate, and `_settle` recomputes the
     candidates' distances from the original points exactly as the k-d
     tree does, so the winner and its distance match the tree's bit for
-    bit.  A block holds at most ``_SCAN_ELEMENTS`` entries whatever n is.
+    bit.  A block holds at most ``_SCAN_PRODUCT`` / (m + 1) entries
+    whatever n is.
     """
     n, m = points.shape
     w = min(w, n)  # a wider band excludes nothing more
@@ -332,7 +332,7 @@ def _dense_nearest(
     # underflow.
     unit = np.finfo(np.float64).eps / 2
     slack = 16 * (m + 4) * (unit * (sq + sq.max()) + np.finfo(np.float64).tiny)
-    size = max(1, min(_SCAN_ELEMENTS, _SCAN_PRODUCT // (m + 1)))
+    size = max(1, _SCAN_PRODUCT // (m + 1))
     cols = min(n, size)
     rows = max(1, size // cols)
     # the band of a block's rows: (row in block, column less block start)

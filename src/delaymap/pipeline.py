@@ -30,7 +30,7 @@ from .embedding import EmbeddingParams, PointCloud, delay_embed
 from .errors import ScalingFitError
 from .mutual import DEFAULT_BINS, MICurve, ami_curve, check_bins, first_local_minimum
 from .neighbors import FnnCurve, FnnParams, embedding_dimension
-from .series import MISSING_POLICIES, check_missing_policy, load_csv, stats
+from .series import MISSING_POLICIES, check_missing_policy, load_csv, stats, text_lines
 
 __all__ = [
     "PipelineConfig",
@@ -407,10 +407,11 @@ def coerce_config_value(name: str, text: str):
 
 
 def parse_key_value_config(path: str) -> dict:
-    """Read a key=value config file ('#' starts a comment) into typed values."""
+    """Read a key=value config file ('#' starts a comment) into typed values.
+    An unreadable file raises ValueError: a config is not the input series."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+    with text_lines(path, ValueError) as (_, lines):
+        for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,8 @@ def load_csv(
             cell, or fewer than 2 values after the policy.
     """
     check_missing_policy(missing_policy)
-    name, lines = _read_lines(source)
+    with text_lines(source) as (name, lines):
+        lines = list(lines)
     parsed = _parse_column(lines, column, skip_header, delimiter, name)
     if parsed is None:  # the row scan names the line of a bad cell or row
         parsed = _parse_cells(_scan_cells(lines, column, skip_header, delimiter, name))
@@ -137,24 +139,21 @@ def load_csv(
     return TimeSeries(values, label=label)
 
 
-def _read_lines(source):
-    """(name, lines) of a path or an open text stream, the lines as
-    csv.reader iterates them, less a leading UTF-8 byte-order mark (as
-    spreadsheet "CSV UTF-8" exports write); an unreadable or non-UTF-8
-    source raises SeriesLoadError."""
+@contextmanager
+def text_lines(source, error=SeriesLoadError):
+    """Yield (name, lines) of a path or an open text stream: the lines
+    stream as csv.reader iterates them (a path opens as UTF-8 with
+    newline=""), less a leading byte-order mark (as spreadsheet "CSV UTF-8"
+    exports write).  A source that cannot be opened or read as UTF-8
+    raises ``error``, also while the caller iterates."""
     stream = hasattr(source, "read")
     name = getattr(source, "name", "<stream>") if stream else os.fspath(source)
     try:
-        if stream:
-            lines = list(source)
-        else:
-            with open(name, "r", newline="", encoding="utf-8") as fh:
-                lines = list(fh)
+        with nullcontext(source) if stream else open(name, newline="", encoding="utf-8") as fh:
+            first = fh.readline().removeprefix("\ufeff")
+            yield name, itertools.chain([first], fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise SeriesLoadError(f"cannot read {name}: {exc}") from exc
-    if lines and lines[0].startswith("\ufeff"):
-        lines[0] = lines[0][1:]
-    return name, lines
+        raise error(f"cannot read {name}: {exc}") from exc
 
 
 def _parse_column(lines, column, skip_header, delimiter, name):

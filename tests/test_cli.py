@@ -224,6 +224,24 @@ def test_entropy_zero_spread_needs_explicit_r(tmp_path, capsys):
     assert "zero spread" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, source", [("", "path"), ("# only a comment\n", "path"), ("", "-")],
+    ids=["empty-file", "comment-only-file", "empty-stdin"],
+)
+def test_an_empty_cloud_prints_only_the_typed_error(tmp_path, capsys, monkeypatch, text, source):
+    if source == "-":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    else:
+        source = tmp_path / "cloud.csv"
+        source.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["entropy", str(source)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {source}: empty cloud\n"
+    assert not caught
+
+
 def test_dimension_fit_from_scaling_csv(tmp_path, capsys):
     scaling = tmp_path / "scaling.csv"
     scaling.write_text(
@@ -484,24 +502,56 @@ def test_unreadable_series_text_exits_3(tmp_path, capsys, content, where):
     assert where in err and "series.csv" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ami"],
-        ["fnn", "--delay", "1"],
-        ["embed", "--delay", "1", "--dimension", "2"],
-        ["entropy"],
-        ["dimension"],
-        ["pipeline", "--output-dir", "out"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_every_reader_exits_3_on_text_that_is_not_utf_8(tmp_path, capsys, argv):
-    path = tmp_path / "input.csv"
-    path.write_bytes(b"0.5,1.0,1.0\n0.25,2.0,\xff2.0\n0.125,3.0,3.0\n0.0625,4.0,4.0\n")
+#: every command that reads an input file, with the flags it needs
+READERS = [
+    ["ami"],
+    ["fnn", "--delay", "1"],
+    ["embed", "--delay", "1", "--dimension", "2"],
+    ["entropy"],
+    ["dimension"],
+    ["pipeline", "--output-dir", "out"],
+]
+
+
+def assert_reader_exits_3_naming(path, argv, tmp_path, capsys):
     command, *flags = argv
     code = main([command, str(path), *[str(tmp_path / f) if f == "out" else f for f in flags]])
     captured = capsys.readouterr()
     assert code == 3
-    assert str(path) in captured.err
+    assert f"cannot read {path}: " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
+def test_every_reader_exits_3_on_text_that_is_not_utf_8(tmp_path, capsys, argv):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"0.5,1.0,1.0\n0.25,2.0,\xff2.0\n0.125,3.0,3.0\n0.0625,4.0,4.0\n")
+    assert_reader_exits_3_naming(path, argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
+def test_every_reader_exits_3_on_a_bad_byte_met_while_reading(tmp_path, capsys, argv):
+    # far past the first chunk the file object decodes, so the error comes
+    # up while the reader iterates, not when the file opens
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"0.5,1.0,1.0\n" * 4000 + b"0.25,2.0,\xff2.0\n")
+    assert_reader_exits_3_naming(path, argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
+def test_every_reader_exits_3_on_a_missing_input(tmp_path, capsys, argv):
+    assert_reader_exits_3_naming(tmp_path / "absent.csv", argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "content", [b"output_dir = out\nfixed_delay = \xff2\n", None], ids=["not-utf-8", "missing"]
+)
+def test_an_unreadable_config_exits_1_naming_it(tmp_path, capsys, content):
+    series = write_series(tmp_path / "sine.csv", sine(200, 20).values)
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert main(["pipeline", series, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {cfg}: ")
     assert captured.out == ""

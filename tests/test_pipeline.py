@@ -297,6 +297,14 @@ def test_config_file_parsing(tmp_path):
     }
 
 
+def test_config_file_drops_a_leading_byte_order_mark(tmp_path):
+    text = "input_path = data.csv\nfixed_delay = 4\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert parse_key_value_config(str(marked)) == parse_key_value_config(str(plain))
+
+
 def test_config_file_errors_carry_line_numbers(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("input_path = data.csv\nj_bins thirty\n")

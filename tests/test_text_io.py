@@ -153,19 +153,37 @@ def test_loader_drops_a_leading_byte_order_mark(tmp_path, text, kwargs, kind):
     assert marked.label == plain.label
 
 
+def test_loader_leaves_a_stream_it_was_given_open():
+    stream = io.StringIO("1.0\n2.0\n")
+    load_csv(stream)
+    assert not stream.closed
+
+
+def _cli_output(command, body, kind, path, monkeypatch, capsys):
+    """stdout of a successful `delaymap command` reading body from a file
+    path or from stdin."""
+    source = _open(body, kind, path)
+    if kind == "stdin":
+        monkeypatch.setattr("sys.stdin", source)
+        source = "-"
+    assert main([command, source]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("kind", ["path", "stdin"])
 def test_entropy_drops_a_leading_byte_order_mark(tmp_path, capsys, monkeypatch, kind):
     text = "0.1,0.2\n0.3,0.5\n0.7,0.1\n0.9,0.95\n"
+    run = [tmp_path / "cloud.csv", monkeypatch, capsys]
+    plain, marked = (_cli_output("entropy", body, kind, *run) for body in (text, "\ufeff" + text))
+    assert marked == plain
 
-    def entropy(body):
-        source = _open(body, kind, tmp_path / "cloud.csv")
-        if kind == "stdin":
-            monkeypatch.setattr("sys.stdin", source)
-            source = "-"
-        assert main(["entropy", source]) == 0
-        return capsys.readouterr().out
 
-    assert entropy("\ufeff" + text) == entropy(text)
+@pytest.mark.parametrize("kind", ["path", "stdin"])
+def test_dimension_drops_a_leading_byte_order_mark(tmp_path, capsys, monkeypatch, kind):
+    text = "r,S\n0.5,1.0\n0.25,2.0\n0.125,3.0\n0.0625,4.0\n"
+    run = [tmp_path / "scaling.csv", monkeypatch, capsys]
+    plain, marked = (_cli_output("dimension", body, kind, *run) for body in (text, "\ufeff" + text))
+    assert marked == plain
 
 
 _NUMBERS = st.one_of(
