@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import TimeSeries
 
@@ -47,36 +48,34 @@ class PointCloud:
     """The reconstructed attractor sample.
 
     Attributes:
-        points: (M, n) float64 array, M = source_len - (n-1)*delay.
-        n: ambient dimension.
-        source_len: length of the originating series.
+        points: (M, n) float64 array with M >= 1 and n = params.dimension;
+            the cloud holds its own read-only copy.
         params: the embedding that produced the cloud.
     """
 
     points: np.ndarray
-    n: int
-    source_len: int
     params: EmbeddingParams
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise ValueError(f"points shape {pts.shape} does not match n={self.n}")
-        expected = self.source_len - (self.n - 1) * self.params.delay
-        if pts.shape[0] != expected:
-            raise ValueError(
-                f"point count {pts.shape[0]} != N-(n-1)T = {expected}"
-            )
-        pts = pts.copy()
+        pts = np.array(self.points, dtype=np.float64, order="C")  # row-major from any view
+        dim = self.params.dimension
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != dim:
+            raise ValueError(f"points shape {pts.shape} is not (M >= 1, n = {dim})")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    @property
+    def n(self) -> int:
+        """Ambient dimension: coordinates per point."""
+        return int(self.points.shape[1])
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
 
 def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PointCloud:
-    """Materialize the sliding-window cloud of a series.
+    """Copy every window_span-long window of a series, read at every T-th
+    sample, into one cloud: the strided window view is copied once.
 
     Args:
         series: source observations.
@@ -87,32 +86,26 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PointCloud:
         series.values[i + k*T], copied without any transformation.
     """
     n_samples = len(series)
-    t, dim = params.delay, params.dimension
-    count = n_samples - (dim - 1) * t
-    if count <= 0:
+    if params.window_span > n_samples:
         raise ValueError(
-            f"(n-1)*T = {(dim - 1) * t} >= N = {n_samples}: empty embedding"
+            f"(n-1)*T = {params.window_span - 1} >= N = {n_samples}: empty embedding"
         )
-    pts = np.empty((count, dim), dtype=np.float64)
-    for k in range(dim):
-        pts[:, k] = series.values[k * t : k * t + count]
-    return PointCloud(pts, dim, n_samples, params)
+    windows = sliding_window_view(series.values, params.window_span)
+    return PointCloud(windows[:, :: params.delay], params)
 
 
 def cloud_from_points(points) -> PointCloud:
-    """Wrap a raw (M, n) coordinate array as a PointCloud.
+    """Wrap a raw (M, n) coordinate array, or an (M,) one as n = 1.
 
     For clouds that did not come from a delay embedding (loaded from a
     file, or built analytically); the attached params are the trivial
-    embedding consistent with the point count.
+    embedding EmbeddingParams(1, n).  PointCloud checks the shape.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"expected an (M, n) array, got shape {pts.shape}")
-    m, dim = pts.shape
-    return PointCloud(pts, dim, m + (dim - 1), EmbeddingParams(1, dim))
+    # any other rank fails PointCloud's check, whatever dimension it is given
+    return PointCloud(pts, EmbeddingParams(1, pts.shape[1] if pts.ndim == 2 else 1))
 
 
 def check_axes(cloud: PointCloud, axes: Sequence[int]) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError
-from .series import TimeSeries
+from .series import TimeSeries, stats
 
 __all__ = [
     "JointHistogram",
@@ -44,15 +44,14 @@ DEFAULT_BINS = 16
 class JointHistogram:
     """Counts of (x_t, x_{t+T}) pairs on a j x j equal-width grid.
 
-    Both axes span ``axis_range`` = (x_min, x_max) of the full series; a
-    value equal to x_max falls in the last bin (the right edge is closed
-    on the final bin only).
+    Both axes span [x_min, x_max] of the full series; a value equal to
+    x_max falls in the last bin (the right edge is closed on the final bin
+    only).
     """
 
     j: int
     counts: np.ndarray  # (j, j) int64, rows index x_t, columns x_{t+T}
     total: int
-    axis_range: tuple[float, float]
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -68,7 +67,7 @@ class JointHistogram:
 
     def transposed(self) -> "JointHistogram":
         """The histogram with the roles of the two axes swapped."""
-        return JointHistogram(self.j, self.counts.T, self.total, self.axis_range)
+        return JointHistogram(self.j, self.counts.T, self.total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,16 +127,14 @@ def joint_histogram(series: TimeSeries, lag: int, bins: int = DEFAULT_BINS) -> J
     n = len(series)
     if not 1 <= lag <= n - 2:
         raise ValueError(f"lag {lag} outside [1, {n - 2}] for series of length {n}")
-    idx, axis_range = _binned(series, bins)
-    return _lagged_histogram(idx, lag, bins, axis_range)
+    return _lagged_histogram(_binned(series, bins), lag, bins)
 
 
-def _binned(series: TimeSeries, bins: int) -> tuple[np.ndarray, tuple[float, float]]:
-    """(bin index of every sample, (lo, hi)) on the equal-width grid."""
+def _binned(series: TimeSeries, bins: int) -> np.ndarray:
+    """Bin index of every sample on the equal-width grid."""
     check_bins(bins)
-    v = series.values
-    lo = float(v.min())
-    hi = float(v.max())
+    st = stats(series)
+    lo, hi = st.x_min, st.x_max
     if hi == lo:
         raise DegenerateSeriesError(
             "constant series: zero value range, histogram binning undefined"
@@ -149,8 +146,8 @@ def _binned(series: TimeSeries, bins: int) -> tuple[np.ndarray, tuple[float, flo
         )
     # bin = min(floor((v - lo)/width), bins-1): right edge closed on the
     # last bin only, and float round-up at the top edge is clamped back in.
-    idx = np.floor((v - lo) / width).astype(np.int64)
-    return np.minimum(idx, bins - 1), (lo, hi)
+    idx = np.floor((series.values - lo) / width).astype(np.int64)
+    return np.minimum(idx, bins - 1)
 
 
 def check_bins(bins: int) -> None:
@@ -158,11 +155,11 @@ def check_bins(bins: int) -> None:
         raise ValueError(f"need at least 2 bins, got {bins}")
 
 
-def _lagged_histogram(idx: np.ndarray, lag: int, bins: int, axis_range) -> JointHistogram:
+def _lagged_histogram(idx: np.ndarray, lag: int, bins: int) -> JointHistogram:
     # bin indices are per sample, so binning the whole series once serves
     # every lag
     counts = np.bincount(idx[:-lag] * bins + idx[lag:], minlength=bins * bins)
-    return JointHistogram(bins, counts.reshape(bins, bins), len(idx) - lag, axis_range)
+    return JointHistogram(bins, counts.reshape(bins, bins), len(idx) - lag)
 
 
 def histogram_mutual_information(hist: JointHistogram) -> float:
@@ -219,15 +216,21 @@ def ami_curve(series: TimeSeries, t_max: int | None = None, bins: int = DEFAULT_
     n = len(series)
     if t_max is None:
         t_max = default_max_lag(n)
-    if not 1 <= t_max <= n - 2:
-        raise ValueError(f"t_max {t_max} outside [1, {n - 2}]")
-    idx, axis_range = _binned(series, bins)
+    check_t_max(t_max, n)
+    idx = _binned(series, bins)
     lags = np.arange(1, t_max + 1, dtype=np.int64)
     bits = np.array([
-        histogram_mutual_information(_lagged_histogram(idx, int(t), bins, axis_range))
+        histogram_mutual_information(_lagged_histogram(idx, int(t), bins))
         for t in lags
     ])
     return MICurve(lags, bits)
+
+
+def check_t_max(t_max: int, n: int | None = None) -> None:
+    """Raise ValueError unless 1 <= t_max, and t_max <= n - 2 once the
+    series length n is known."""
+    if t_max < 1 or (n is not None and t_max > n - 2):
+        raise ValueError(f"t_max {t_max} outside [1, {'N - 2' if n is None else n - 2}]")
 
 
 def first_local_minimum(curve: MICurve) -> DelaySelection:

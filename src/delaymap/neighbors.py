@@ -45,7 +45,7 @@ import numpy as np
 
 from .embedding import EmbeddingParams, delay_embed
 from .errors import DegenerateSeriesError, NoAdmissibleNeighborError
-from .series import TimeSeries
+from .series import TimeSeries, stats
 
 __all__ = [
     "FnnParams",
@@ -448,14 +448,14 @@ def fnn_fraction(
         FnnEntry(m, false_count / tested, tested, skipped).
 
     Raises:
+        ValueError: m or delay is below 1 (from EmbeddingParams), checked
+            before the data.
         DegenerateSeriesError: the series is constant, or m * range^2
             overflows float64, so no squared distance can be computed.
     """
+    embedding = EmbeddingParams(delay, m)
     n = len(series)
-    if m < 1 or delay < 1:
-        raise ValueError("dimension and delay must be >= 1")
-    vals = series.values
-    span = float(vals.max()) - float(vals.min())  # a Python float overflows to inf silently
+    span = stats(series).value_range  # a Python float overflows to inf silently
     if span == 0.0:
         raise DegenerateSeriesError("constant series has no neighbor structure")
     # the largest squared distance in m coordinates is m * range^2
@@ -465,7 +465,7 @@ def fnn_fraction(
             f"{span:.3g} is too large for them; rescale the series"
         )
     w = params.window(delay)
-    cloud = delay_embed(series, EmbeddingParams(delay, m))
+    cloud = delay_embed(series, embedding)
     limit = n - m * delay
     if limit < 2:
         raise ValueError(
@@ -480,6 +480,7 @@ def fnn_fraction(
         )
     nbr = nn_idx[sel]
     dist = nn_dist[sel]
+    vals = series.values
     numer = np.abs(vals[sel + m * delay] - vals[nbr + m * delay])
     false_mask = np.empty(sel.size, dtype=bool)
     zero = dist == 0.0

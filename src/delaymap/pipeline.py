@@ -28,9 +28,11 @@ from .boxdim import (
 )
 from .embedding import EmbeddingParams, PointCloud, delay_embed
 from .errors import ScalingFitError
-from .mutual import DEFAULT_BINS, MICurve, ami_curve, check_bins, first_local_minimum
+from .mutual import DEFAULT_BINS, MICurve, ami_curve, check_bins, check_t_max, first_local_minimum
 from .neighbors import FnnCurve, FnnParams, embedding_dimension
-from .series import MISSING_POLICIES, check_missing_policy, load_csv, stats, text_lines
+from .series import (
+    MISSING_POLICIES, check_column, check_missing_policy, load_csv, stats, text_lines,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -91,8 +93,10 @@ class PipelineConfig:
         for name in ("input_path", "output_dir"):
             object.__setattr__(self, name, os.fspath(getattr(self, name)))
         # each key is checked by the function that uses it
+        check_column(self.column)
         check_missing_policy(self.missing_policy)
         check_bins(self.j_bins)
+        check_t_max(1 if self.t_max is None else self.t_max)
         fnn_params(self)
         default_r_ladder(1.0, self.ladder_steps, self.r_coarse_div, self.r_fine_div)
         reference_r(1.0, self.r_ref_div)

@@ -235,10 +235,14 @@ def _resolve_column(first_row, column, skip_header, name):
                 f"{name}: column {column!r} not found in header {header}"
             ) from None
         return idx, 1
-    idx = int(column)
-    if idx < 0:
+    check_column(column)
+    return int(column), 1 if skip_header else 0
+
+
+def check_column(column: int | str) -> None:
+    """Raise ValueError if ``column`` is a negative index."""
+    if not isinstance(column, str) and int(column) < 0:
         raise ValueError("column index must be nonnegative")
-    return idx, 1 if skip_header else 0
 
 
 def _parse_cells(cells):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from delaymap import (
     EmbeddingParams,
+    PointCloud,
     TimeSeries,
     cloud_from_points,
     delay_embed,
+    lorenz,
     project,
 )
 
@@ -66,7 +70,6 @@ def test_count_law(n_samples, delay, dim):
     c = delay_embed(s, EmbeddingParams(delay, dim))
     assert len(c) == n_samples - (dim - 1) * delay
     assert c.n == dim
-    assert c.source_len == n_samples
 
 
 def test_params_validation():
@@ -109,3 +112,35 @@ def test_cloud_from_points_wraps_raw_arrays():
     assert flat.n == 1 and len(flat) == 3
     with pytest.raises(ValueError):
         cloud_from_points(np.zeros((2, 2, 2)))
+
+
+def test_point_cloud_takes_its_shape_from_the_points_and_params():
+    with pytest.raises(ValueError, match=r"is not \(M >= 1"):
+        PointCloud(np.zeros((4, 3)), EmbeddingParams(1, 2))
+    with pytest.raises(ValueError, match=r"is not \(M >= 1"):
+        PointCloud(np.zeros((0, 2)), EmbeddingParams(1, 2))
+    with pytest.raises(ValueError, match=r"is not \(M >= 1"):
+        PointCloud(np.zeros(4), EmbeddingParams(1, 1))
+    with pytest.raises(ValueError):
+        cloud_from_points(np.zeros((0, 2)))
+    c = PointCloud([[1, 2], [3, 4]], EmbeddingParams(5, 2))
+    assert c.n == 2 and len(c) == 2 and c.points.dtype == np.float64
+
+
+def test_delay_cloud_is_a_row_major_copy_of_the_windows():
+    s = TimeSeries(np.arange(50, dtype=np.float64))
+    c = delay_embed(s, EmbeddingParams(4, 3))
+    assert not np.shares_memory(c.points, s.values)
+    assert c.points.flags.c_contiguous
+
+
+def test_delay_embed_allocates_the_cloud_once():
+    s = lorenz(80_000)
+    tracemalloc.start()
+    try:
+        c = delay_embed(s, EmbeddingParams(17, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one copy of the window view is 1x the cloud; a second full-size array makes 2x
+    assert peak < 1.5 * c.points.nbytes

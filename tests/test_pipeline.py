@@ -264,6 +264,13 @@ def test_config_validation():
             PipelineConfig(input_path="x", **bad)
 
 
+@pytest.mark.parametrize("bad", [{"t_max": 0}, {"t_max": -3}, {"column": -1}])
+def test_config_refuses_a_bad_t_max_or_column_before_loading(bad):
+    # the input does not exist, so only the build-time check can raise
+    with pytest.raises(ValueError, match="t_max|column"):
+        PipelineConfig(input_path="no-such-input.csv", **bad)
+
+
 def test_coerce_config_value_types():
     assert coerce_config_value("column", "3") == 3
     assert coerce_config_value("column", "close") == "close"
