@@ -25,7 +25,7 @@ _PUBLIC = {  # submodule -> the public names it defines
         "mutual_information", "histogram_mutual_information", "marginal_entropies",
         "ami_curve", "first_local_minimum", "default_max_lag",
     ),
-    "embedding": ("EmbeddingParams", "PointCloud", "delay_embed", "cloud_from_points", "project"),
+    "embedding": ("EmbeddingParams", "PointCloud", "delay_embed", "cloud_from_points"),
     # dimension via false neighbors
     "neighbors": (
         "FnnParams", "FnnEntry", "FnnCurve", "DimensionSelection",

@@ -41,20 +41,18 @@ _KEY_SPACE = 2**63
 
 @dataclass(frozen=True, eq=False)
 class BoxHistogram:
-    """Occupancy counts of the r-box partition of one cloud.
+    """Occupancy counts of one r-box partition of a cloud.
 
     counts holds one int64 point count per occupied cell, in the
     lexicographic order of the cells' integer lattice coordinates (one
     per axis); boxes that caught no point are never stored, so every
-    count is >= 1.  lattice, when kept, is the (N, m) int64 array of
-    each point's cell; it only serves ``occupied``.
+    count is >= 1.  lattice is the (N, m) int64 array of each point's
+    cell; it only serves ``occupied``.
     """
 
-    r: float
     counts: np.ndarray
     total: int
-    anchor: tuple[float, ...]
-    lattice: np.ndarray | None = field(default=None, repr=False)
+    lattice: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if int(self.counts.sum()) != self.total:
@@ -65,12 +63,7 @@ class BoxHistogram:
     @property
     def occupied(self) -> dict[tuple[int, ...], int]:
         """Lattice coordinates -> point count of every occupied cell."""
-        if self.lattice is None:
-            raise ValueError("histogram was built without its lattice")
-        order = np.argsort(_cell_keys(self.lattice))
-        rows = self.lattice[order]
-        first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
-        cells = map(tuple, rows[first].tolist())
+        cells = map(tuple, np.unique(self.lattice, axis=0).tolist())
         return dict(zip(cells, self.counts.tolist(), strict=True))
 
 
@@ -139,32 +132,25 @@ def partition_boxes(cloud: PointCloud, r: float) -> BoxHistogram:
     box of its own).  Axes with zero spread collapse to lattice index 0.
     An r so small that a lattice index would overflow int64 is rejected.
 
-    The anchor is the per-axis minimum, with -0.0 read as +0.0.  Every
-    scaled coordinate (p_k - anchor_k)/r is then >= 0, so truncating it
-    to int64 gives its lattice index.  Each point's lattice row is folded
-    into one order-preserving int64 key and the keys are sorted once; the
-    run lengths are the counts, in lexicographic cell order (Liebovitch &
+    The anchor is the per-axis minimum, so every scaled coordinate
+    (p_k - anchor_k)/r is >= 0 and truncating it to int64 gives its
+    lattice index.  Each point's lattice row is folded into one
+    order-preserving int64 key and the keys are sorted once; the run
+    lengths are the counts, in lexicographic cell order (Liebovitch &
     Toth, Phys. Lett. A 141, 386, 1989).  The histogram keeps the lattice
     for ``occupied``.
     """
     pts = cloud.points
-    anchor = _anchor(pts)
     lattice = np.empty(pts.shape, dtype=np.int64)
-    counts = _box_counts(pts, anchor, r, np.empty(pts.shape), lattice)
-    return BoxHistogram(
-        r=float(r),
-        counts=counts,
-        total=len(pts),
-        anchor=tuple(anchor.tolist()),
-        lattice=lattice,
-    )
+    counts = _box_counts(pts, _anchor(pts), r, np.empty(pts.shape), lattice)
+    return BoxHistogram(counts, len(pts), lattice)
 
 
 def _anchor(pts: np.ndarray) -> np.ndarray:
     """Per-axis minima, taken one column at a time (an axis-0 reduction
-    over a narrow array is far slower); + 0.0 turns a -0.0 minimum into
-    +0.0, as which of two signed zeros a min returns is not fixed."""
-    return np.array([col.min() for col in pts.T]) + 0.0
+    over a narrow array is far slower).  A -0.0 and a +0.0 minimum give
+    the same lattice, so which signed zero a min returns does not matter."""
+    return np.array([col.min() for col in pts.T])
 
 
 def _box_counts(

@@ -271,24 +271,25 @@ def _cmd_entropy(args, parser):
 def _read_scaling_csv(path) -> list[tuple[float, float]]:
     """(r, S) pairs from the first and last cells of each data row.
 
-    Data rows are those the series loader reads.  Only the first may be a
-    header; any later row that is not at least two numeric cells is a
-    load error, never silently dropped.
+    Data rows are those the series loader reads.  The first is a header
+    when its first or last cell is not a number; any other row that is not
+    at least two finite numeric cells is a load error, never dropped.
     """
     with text_lines(_source(path)) as (name, lines):
         rows = _read_rows(lines, ",", name)
     entries = []
     for i, (lineno, row) in enumerate(rows):
         try:
-            pair = (float(row[0]), float(row[-1])) if len(row) > 1 else None
+            pair = (float(row[0]), float(row[-1]))
         except ValueError:
+            if not i:
+                continue  # the header
             pair = None
-        if pair is not None and not np.isfinite(pair).all():
-            raise SeriesLoadError(f"{name}:{lineno}: non-finite scaling row {','.join(row)!r}")
-        if pair is not None:
-            entries.append(pair)
-        elif i:
+        if pair is None or len(row) < 2:
             raise SeriesLoadError(f"{name}:{lineno}: bad scaling row {','.join(row)!r}")
+        if not np.isfinite(pair).all():
+            raise SeriesLoadError(f"{name}:{lineno}: non-finite scaling row {','.join(row)!r}")
+        entries.append(pair)
     return entries
 
 

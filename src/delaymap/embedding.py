@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import TimeSeries
 
-__all__ = ["EmbeddingParams", "PointCloud", "delay_embed", "cloud_from_points", "project"]
+__all__ = ["EmbeddingParams", "PointCloud", "delay_embed", "cloud_from_points"]
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,3 @@ def check_axes(cloud: PointCloud, axes: Sequence[int]) -> None:
     for a in axes:
         if not 0 <= a < cloud.n:
             raise ValueError(f"axis {a} out of range for {cloud.n}-D cloud")
-
-
-def project(cloud: PointCloud, axes: Sequence[int]) -> np.ndarray:
-    """Select 2 or 3 coordinates of every point, order preserved.
-
-    Duplicate axes are allowed (diagonal plots).
-    """
-    check_axes(cloud, axes)
-    return cloud.points[:, list(axes)].copy()

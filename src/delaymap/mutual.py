@@ -42,21 +42,20 @@ DEFAULT_BINS = 16
 
 @dataclass(frozen=True, eq=False)
 class JointHistogram:
-    """Counts of (x_t, x_{t+T}) pairs on a j x j equal-width grid.
+    """Counts of (x_t, x_{t+T}) pairs on a square j x j equal-width grid.
 
     Both axes span [x_min, x_max] of the full series; a value equal to
     x_max falls in the last bin (the right edge is closed on the final bin
     only).
     """
 
-    j: int
     counts: np.ndarray  # (j, j) int64, rows index x_t, columns x_{t+T}
     total: int
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (self.j, self.j):
-            raise ValueError(f"counts shape {c.shape} != ({self.j}, {self.j})")
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError(f"counts shape {c.shape} is not square")
         if (c < 0).any():
             raise ValueError("negative counts")
         if int(c.sum()) != self.total:
@@ -67,7 +66,7 @@ class JointHistogram:
 
     def transposed(self) -> "JointHistogram":
         """The histogram with the roles of the two axes swapped."""
-        return JointHistogram(self.j, self.counts.T, self.total)
+        return JointHistogram(self.counts.T, self.total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +158,7 @@ def _lagged_histogram(idx: np.ndarray, lag: int, bins: int) -> JointHistogram:
     # bin indices are per sample, so binning the whole series once serves
     # every lag
     counts = np.bincount(idx[:-lag] * bins + idx[lag:], minlength=bins * bins)
-    return JointHistogram(bins, counts.reshape(bins, bins), len(idx) - lag)
+    return JointHistogram(counts.reshape(bins, bins), len(idx) - lag)
 
 
 def histogram_mutual_information(hist: JointHistogram) -> float:

@@ -89,9 +89,12 @@ class PipelineConfig:
     timestamp: bool = False
 
     def __post_init__(self):
-        # paths are stored as str, so the report writes them as JSON strings
+        # paths as str, numbers for float keys as float: the report then reads as the CLI's
         for name in ("input_path", "output_dir"):
             object.__setattr__(self, name, os.fspath(getattr(self, name)))
+        for name, kind in CONFIG_TYPES.items():
+            if kind is float and isinstance(getattr(self, name), (int, np.number)):
+                object.__setattr__(self, name, float(getattr(self, name)))
         # each key is checked by the function that uses it
         check_column(self.column)
         check_missing_policy(self.missing_policy)

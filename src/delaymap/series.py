@@ -35,15 +35,13 @@ class TimeSeries:
     """A finite scalar observation record.
 
     Attributes:
-        values: the observations in acquisition order (read-only float64).
+        values: the observations in acquisition order (read-only float64);
+            estimators address them by 0-based array position.
         label: free-text identifier, e.g. the source file/column.
-        sample_index_origin: index assigned to the first sample (metadata
-            only; estimators always work with 0-based array positions).
     """
 
     values: np.ndarray
     label: str = ""
-    sample_index_origin: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -64,9 +62,10 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class SeriesStats:
+    """Value bounds of a series; len(series) is its count."""
+
     x_min: float
     x_max: float
-    n: int
 
     def __post_init__(self):
         if self.x_min > self.x_max:
@@ -78,9 +77,9 @@ class SeriesStats:
 
 
 def stats(series: TimeSeries) -> SeriesStats:
-    """Exact minimum, maximum and count of a series."""
+    """Exact minimum and maximum of a series."""
     v = series.values
-    return SeriesStats(float(v.min()), float(v.max()), int(v.size))
+    return SeriesStats(float(v.min()), float(v.max()))
 
 
 def load_csv(
@@ -89,9 +88,9 @@ def load_csv(
     skip_header: bool = False,
     missing_policy: str = MISSING_POLICIES[0],
     delimiter: str = ",",
-    label: str | None = None,
 ) -> TimeSeries:
-    """Load one column of a CSV file as a TimeSeries.
+    """Load one column of a CSV file as a TimeSeries labelled
+    ``"<file stem>:<column>"`` (``"<stream>:<column>"`` for a nameless stream).
 
     The format is RFC-4180-style: one observation per row, '.' decimal
     point, optional header row.  Lines starting with '#' are ignored so
@@ -116,7 +115,6 @@ def load_csv(
         skip_header: skip the first row when selecting by index.
         missing_policy: "drop" or "forward_fill".
         delimiter: field separator, default comma.
-        label: override the series label (defaults to file stem / column).
 
     Raises:
         SeriesLoadError: unreadable file, column not found, non-numeric
@@ -133,10 +131,8 @@ def load_csv(
         raise SeriesLoadError(
             f"{name}: fewer than 2 values after {missing_policy} policy"
         )
-    if label is None:
-        stem = os.path.splitext(os.path.basename(name))[0]
-        label = f"{stem}:{column}"
-    return TimeSeries(values, label=label)
+    stem = os.path.splitext(os.path.basename(name))[0]
+    return TimeSeries(values, label=f"{stem}:{column}")
 
 
 @contextmanager

@@ -157,7 +157,6 @@ def load_csv_rows(
     skip_header=False,
     missing_policy="forward_fill",
     delimiter=",",
-    label=None,
 ):
     """The series loader as a csv.reader row scan: (values, label).
 
@@ -236,7 +235,5 @@ def load_csv_rows(
             values.append(values[-1])
     if len(values) < 2:
         raise SeriesLoadError(f"{name}: fewer than 2 values after {missing_policy} policy")
-    if label is None:
-        stem = os.path.splitext(os.path.basename(name))[0]
-        label = f"{stem}:{column}"
-    return values, label
+    stem = os.path.splitext(os.path.basename(name))[0]
+    return values, f"{stem}:{column}"

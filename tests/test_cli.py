@@ -176,11 +176,19 @@ def test_embed_writes_the_window_rows(tmp_path, capsys):
 
 def test_embed_axes_validation_exits_2(tmp_path):
     path = write_series(tmp_path / "s.csv", np.arange(30.0))
-    for axes in ("0,5", "0"):  # out of range; wrong arity
+    for axes in ("0,5", "0", "0,1,1,0"):  # out of range; too few; too many
         with pytest.raises(SystemExit) as exc:
             main(["embed", str(path), "--delay", "1", "--dimension", "2",
                   "--axes", axes])
         assert exc.value.code == 2
+
+
+def test_embed_allows_a_repeated_axis(tmp_path, capsys):
+    path = write_series(tmp_path / "s.csv", [1.0, 2.0, 3.0])
+    code = main(["embed", str(path), "--delay", "1", "--dimension", "2", "--axes", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[1:] == ["2.0,2.0", "3.0,3.0"]
 
 
 def test_entropy_bad_r_values_exits_2(tmp_path, capsys):
@@ -275,6 +283,19 @@ def test_dimension_rejects_a_bad_row_after_the_header(tmp_path, capsys, bad_row)
     captured = capsys.readouterr()
     assert code == 3
     assert bad_row in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("first_row", ["0.5", "nan", "inf,1.0,2.0"])
+def test_dimension_rejects_a_numeric_first_row_that_is_no_pair(tmp_path, capsys, first_row):
+    # a header is a first row whose first or last cell is not a number
+    scaling = tmp_path / "scaling.csv"
+    rows = "".join(f"{2.0**-k!r},{float(k)!r},{2.0 * k!r}\n" for k in range(2, 7))
+    scaling.write_text(f"{first_row}\n{rows}")
+    code = main(["dimension", str(scaling)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"{scaling}:1: " in captured.err and repr(first_row) in captured.err
     assert captured.out == ""
 
 

@@ -12,7 +12,6 @@ from delaymap import (
     cloud_from_points,
     delay_embed,
     lorenz,
-    project,
 )
 
 
@@ -84,25 +83,6 @@ def test_points_read_only():
     c = delay_embed(series(1, 2, 3), EmbeddingParams(1, 2))
     with pytest.raises(ValueError):
         c.points[0, 0] = 99.0
-
-
-def test_project_examples():
-    c = delay_embed(series(1, 2, 3), EmbeddingParams(1, 3))
-    assert project(c, [0, 2]).tolist() == [[1, 3]]
-    assert project(c, [1, 1]).tolist() == [[2, 2]]
-
-    c2 = delay_embed(series(1, 2, 3, 4), EmbeddingParams(1, 2))
-    assert np.array_equal(project(c2, [0, 1]), c2.points)
-
-
-def test_project_validation():
-    c = delay_embed(series(1, 2, 3, 4), EmbeddingParams(1, 2))
-    with pytest.raises(ValueError, match="out of range"):
-        project(c, [0, 2])
-    with pytest.raises(ValueError, match="2 or 3 axes"):
-        project(c, [0])
-    with pytest.raises(ValueError, match="2 or 3 axes"):
-        project(c, [0, 1, 1, 0])
 
 
 def test_cloud_from_points_wraps_raw_arrays():

@@ -66,7 +66,7 @@ def test_mi_single_cell_is_zero():
     # direct single-cell construction
     from delaymap import JointHistogram
 
-    one = JointHistogram(2, np.array([[5, 0], [0, 0]]), 5)
+    one = JointHistogram(np.array([[5, 0], [0, 0]]), 5)
     assert histogram_mutual_information(one) == 0.0
 
 

@@ -175,14 +175,15 @@ def test_numpy_scalars_in_a_config_write_the_same_report(tmp_path, monkeypatch, 
     plain = dict(fixed_delay=1, fixed_dimension=2, skip_header=False, r_tol=10.0)
     scalars = dict(fixed_delay=np.int64(1), fixed_dimension=np.int64(2),
                    skip_header=np.False_, r_tol=np.float64(10.0))
+    ints = dict(fixed_delay=1, fixed_dimension=2, skip_header=False, r_tol=10, r_ref_div=256)
     reports = []
-    for sub, knobs in (("plain", plain), ("numpy", scalars)):
+    for sub, knobs in (("plain", plain), ("numpy", scalars), ("int", ints)):
         (tmp_path / sub).mkdir()
         monkeypatch.chdir(tmp_path / sub)
         rep = run_pipeline(PipelineConfig(input_path=sine_csv, output_dir=".", **knobs))
         assert rep.status == STATUS_OK
         reports.append((tmp_path / sub / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_path_objects_in_a_config_write_the_same_report(tmp_path, monkeypatch, sine_csv):

@@ -40,8 +40,11 @@ def _outcome(call):
 
 def _open(text, kind, path):
     """The same text as a file path, an in-memory stream, or a stream
-    like sys.stdin (universal newlines, translated)."""
+    like sys.stdin (universal newlines, translated).  A path is unlinked
+    before it is written: a new file is written far faster than one that
+    was just written is overwritten in place."""
     if kind == "path":
+        path.unlink(missing_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return str(path)

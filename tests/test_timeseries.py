@@ -36,12 +36,12 @@ def test_stats_examples():
         TimeSeries(np.array([1.0, 2, 3]))
     )
     st = stats(TimeSeries(np.array([1.0, 2, 3])))
-    assert (st.x_min, st.x_max, st.n) == (1.0, 3.0, 3)
+    assert (st.x_min, st.x_max) == (1.0, 3.0)
     st = stats(TimeSeries(np.array([7.0, 7, 7])))
-    assert (st.x_min, st.x_max, st.n) == (7.0, 7.0, 3)
+    assert (st.x_min, st.x_max) == (7.0, 7.0)
     assert st.value_range == 0.0
     st = stats(TimeSeries(np.array([-1.0, 4.0, 0.5])))
-    assert (st.x_min, st.x_max, st.n) == (-1.0, 4.0, 3)
+    assert (st.x_min, st.x_max) == (-1.0, 4.0)
 
 
 def test_load_reserialize_load_idempotent(tmp_path):
@@ -95,8 +95,8 @@ def test_non_finite_cell_rejected():
 
 
 def test_stream_input_and_label_default():
-    s = load_csv(io.StringIO("3\n4\n"), label="mystream")
-    assert s.label == "mystream"
+    s = load_csv(io.StringIO("3\n4\n"))
+    assert s.label == "<stream>:0"
     assert s.values.tolist() == [3.0, 4.0]
 
 
@@ -133,9 +133,8 @@ def test_series_copies_input():
 
 
 def test_len_and_origin():
-    s = TimeSeries(np.array([5.0, 6.0, 7.0]), sample_index_origin=10)
+    s = TimeSeries(np.array([5.0, 6.0, 7.0]))
     assert len(s) == 3
-    assert s.sample_index_origin == 10
 
 
 def test_stats_brackets_every_element():
@@ -144,4 +143,3 @@ def test_stats_brackets_every_element():
     st = stats(TimeSeries(v))
     assert st.x_min <= v.min() and st.x_max >= v.max()
     assert st.x_min in v and st.x_max in v
-    assert st.n == 100
