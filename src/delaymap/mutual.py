@@ -210,10 +210,13 @@ def ami_curve(series: TimeSeries, t_max: int | None = None, bins: int = DEFAULT_
 
     The series is binned once; each lag then counts its pairs with one
     ``bincount``, so every entry equals ``mutual_information(series, T,
-    bins)`` bit for bit.  ``t_max`` defaults to min(N/10, 100).
+    bins)`` bit for bit.  ``t_max`` defaults to min(N/10, 100), which
+    needs N >= 3.
     """
     n = len(series)
     if t_max is None:
+        if n < 3:
+            raise ValueError(f"AMI needs at least 3 samples, got {n}")
         t_max = default_max_lag(n)
     check_t_max(t_max, n)
     idx = _binned(series, bins)

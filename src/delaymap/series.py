@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import os
+import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -103,10 +104,23 @@ def load_csv(
 
     Leading missing values are always dropped.
 
-    ``csv.reader`` splits the rows and the selected column is parsed by
-    one ``np.array(cells, dtype=float)``, whose string parser follows
-    ``float()``.  Should that pass fail, a row scan reads the text again
-    and raises the error, naming the offending line.
+    The text is read in up to three passes; the first that succeeds
+    gives the values:
+
+    1. numpy's C reader (``np.loadtxt``) parses the selected column of
+       the rows after the header, with no string per cell.  Its number
+       parser follows ``float()``.  It declines any text it could read
+       otherwise than the csv rules, or cannot read: a quote, a '#'
+       after the start of a line, a carriage return outside "\\r\\n", a
+       line over ``csv.field_size_limit()`` or an "NA" past the header
+       (all found by a scan of the text), a cell of the column that it
+       refuses (an empty one included) or reads as non-finite, or no
+       data row.
+    2. ``csv.reader`` splits the rows and the selected column is parsed
+       by one ``np.array(cells, dtype=float)``; this pass serves quoted
+       and missing cells.
+    3. Should that fail too, a row scan reads the text again and raises
+       the error, naming the offending line.
 
     Args:
         source: path, or an open text stream.
@@ -123,10 +137,12 @@ def load_csv(
     check_missing_policy(missing_policy)
     with text_lines(source) as (name, lines):
         lines = list(lines)
-    parsed = _parse_column(lines, column, skip_header, delimiter, name)
-    if parsed is None:  # the row scan names the line of a bad cell or row
-        parsed = _parse_cells(_scan_cells(lines, column, skip_header, delimiter, name))
-    values = _apply_missing_policy(*parsed, missing_policy)
+    values = _parse_plain(lines, column, skip_header, delimiter, name)
+    if values is None:
+        parsed = _parse_column(lines, column, skip_header, delimiter, name)
+        if parsed is None:  # the row scan names the line of a bad cell or row
+            parsed = _parse_cells(_scan_cells(lines, column, skip_header, delimiter, name))
+        values = _apply_missing_policy(*parsed, missing_policy)
     if len(values) < 2:
         raise SeriesLoadError(
             f"{name}: fewer than 2 values after {missing_policy} policy"
@@ -150,6 +166,51 @@ def text_lines(source, error=SeriesLoadError):
             yield name, itertools.chain([first], fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {name}: {exc}") from exc
+
+
+def _parse_plain(lines, column, skip_header, delimiter, name):
+    """The selected column as parsed by numpy's C reader, or None for
+    text that reader could read otherwise than the csv rules, or cannot
+    read.  The header and column come from the first data row, split by
+    csv.reader as in the other passes."""
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        first = next(filter(_is_data_row, reader), None)
+        if first is None:
+            return None
+        col_idx, header_rows = _resolve_column(first, column, skip_header, name)
+    except (csv.Error, SeriesLoadError, ValueError):
+        return None
+    body = lines[reader.line_num - 1 + header_rows:]
+    text = "".join(body)
+    # numpy refuses a line-end or '#' delimiter, ignores quotes, strips a
+    # '#' comment anywhere in a line and has no field size limit.  It
+    # refuses a bare '\r' inside a line and an "NA" cell itself, but only
+    # after parsing up to them.  A one-character search costs about a
+    # hundredth of a two-character one, so each pair is sought only once
+    # its first character is found, and "NA" from the first "N" on.
+    if (
+        delimiter in "\r\n#"
+        or '"' in text
+        or "\r" in text and text.count("\r") != text.count("\r\n")
+        or "#" in text and text.count("#") != text.count("\n#") + text.startswith("#")
+        or (first_n := text.find("N")) >= 0 and text.find("NA", first_n) >= 0
+        or max(map(len, body), default=0) > csv.field_size_limit()
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a body of only comments: "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(
+                body, dtype=np.float64, delimiter=delimiter, comments="#",
+                usecols=col_idx, ndmin=1,
+            )
+    except ValueError:
+        return None
+    if values.size == 0 or not np.isfinite(values).all():
+        return None
+    return values
 
 
 def _parse_column(lines, column, skip_header, delimiter, name):

@@ -133,6 +133,17 @@ def test_ami_too_short_for_selection_gives_null_summary(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["ami", "pipeline"])
+def test_default_lag_scan_on_two_samples_names_the_length(tmp_path, capsys, command):
+    path = write_series(tmp_path / "two.csv", [1.0, 2.0])
+    out = ["--output-dir", str(tmp_path / "o")] if command == "pipeline" else []
+    assert main([command, path, *out]) == 1
+    assert "AMI needs at least 3 samples, got 2" in capsys.readouterr().err
+    # an explicit bound keeps its own message
+    assert main([command, path, *out, "--t-max", "1"]) == 1
+    assert "t_max 1 outside [1, 0]" in capsys.readouterr().err
+
+
 def test_ami_fallback_exits_4(tmp_path, capsys):
     path = write_series(tmp_path / "ramp.csv", np.arange(200.0))
     code = main(["ami", str(path), "--t-max", "3"])

@@ -1,10 +1,15 @@
 """Text I/O: the series loader against the csv.reader row scan, and the
 repr writers against per-value formatting.
 
-The loader splits rows with csv.reader and parses the column in one numpy
-pass; a row scan runs only to report a fault, naming its line.
-``oracles.load_csv_rows`` is that row scan on its own, so every value,
-label and error (type and message) must agree.
+The loader reads the text in up to three passes.  numpy's C reader parses
+plain unquoted text; it declines quotes, a '#' after the start of a line,
+a carriage return outside "\\r\\n", a line over the csv field size limit,
+missing cells, no data row and any cell numpy refuses or reads as
+non-finite.  csv.reader then splits the rows and numpy parses the column's
+cells, which serves quoted and missing cells.  A row scan runs only to
+report a fault, naming its line.  ``oracles.load_csv_rows`` is that row
+scan on its own, so every value, label and error (type and message) must
+agree, whichever pass read the text.
 """
 
 import io
@@ -111,7 +116,21 @@ LOADER_CASES = PLAIN_CASES + [
     # two faults: the row scan's (the \r in a stream) is the one reported
     ("a\n\n\n\r,,\n", {"column": "b"}),
     ("1\n2\r3\n", {"column": -1}),
-] + QUOTED_CASES[1:]
+] + QUOTED_CASES[1:] + [
+    # where numpy's reader and the csv rules part ways
+    ("1 #x\n2\n3\n", {}),
+    ("1,#x\n2,3\n4,5\n", {"column": 0}),
+    ("1,#x\n2,3\n4,5\n", {"column": 1}),
+    ("1,2\n3," + "x" * 140_000 + "\n4,5\n", {"column": 0}),
+    ('"a,b",1,2\n"c,d",3,4\n', {"column": 2}),
+    ("1\n2\n", {"delimiter": "#"}),
+    ("1\n2\n", {"delimiter": "\n"}),
+    ("t,price\n", {"column": "price"}),
+    ("1_0\n2\n3\n", {}),
+    ("\u0663.\u0665\n2\n3\n", {}),
+    ("1,2\n \t \n3,4\n", {"column": 1}),
+    ("nan,1\n2,3\n4,5\n", {"column": 1}),
+]
 
 
 @pytest.mark.parametrize("kind", SOURCES)
@@ -139,6 +158,33 @@ def test_plain_text_never_reaches_the_row_scan(tmp_path, monkeypatch, text, kwar
     path = tmp_path / "plain.csv"
     path.write_text(text, encoding="utf-8", newline="")
     load_csv(path, **kwargs)
+
+
+def _synth_lorenz(path):
+    assert main(["synth", "--kind", "lorenz", "-n", "2000", "--output", str(path)]) == 0
+    assert path.read_text(encoding="utf-8").startswith("# delaymap synth:")
+
+
+@pytest.mark.parametrize(
+    "write, kwargs",
+    [
+        (_synth_lorenz, {}),
+        (lambda path: path.write_bytes(b"1.5\r\n2.5\r\n-3\r\n"), {}),
+        (lambda path: path.write_text("t,price\n0,1.5\n1,2.5\n2,-3\n"), {"column": "price"}),
+        (lambda path: path.write_text("1;2\n3;4\n5;6\n"), {"column": 1, "delimiter": ";"}),
+    ],
+    ids=["synth-lorenz", "crlf", "named-column", "semicolon"],
+)
+def test_common_text_takes_the_numpy_pass(tmp_path, monkeypatch, write, kwargs):
+    def refuse(*args):
+        raise AssertionError("csv pass used on text numpy's reader can read")
+
+    monkeypatch.setattr("delaymap.series._parse_column", refuse)
+    monkeypatch.setattr("delaymap.series._scan_cells", refuse)
+    path = tmp_path / "common.csv"
+    write(path)
+    values, _ = load_csv_rows(str(path), **kwargs)
+    assert load_csv(path, **kwargs).values.tolist() == values
 
 
 @pytest.mark.parametrize("kind", SOURCES)
@@ -250,6 +296,32 @@ def test_loader_matches_the_row_scan_on_generated_text(
         text, kind, path, column=column, skip_header=skip_header,
         missing_policy=missing_policy, delimiter=delim,
     )
+
+
+_MANTISSAS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.from_regex(r"[0-9]{1,20}(\.[0-9]{0,20})?|\.[0-9]{1,20}", fullmatch=True),
+)
+_EXPONENTS = st.one_of(
+    st.just(""),
+    st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 400).map(str))
+    .map("".join),
+)
+_NUMBER_CELLS = st.tuples(
+    _PAD, st.sampled_from(["", "", "+", "-"]), _MANTISSAS, _EXPONENTS, _PAD
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(cell=_NUMBER_CELLS)
+def test_numpy_reads_each_cell_it_accepts_as_float_does(cell):
+    # the numpy pass relies on numpy's C number parser matching float()
+    try:
+        (value,) = np.loadtxt([cell], dtype=np.float64, delimiter=",", comments="#", ndmin=1)
+    except ValueError:
+        return
+    assert value.hex() == float(cell).hex()
 
 
 def _cloud_text_by_value(cloud, axes):
