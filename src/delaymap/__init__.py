@@ -38,9 +38,7 @@ _PUBLIC = {  # submodule -> the public names it defines
         "default_r_ladder", "reference_r",
     ),
     # synthetic systems
-    "generators": (
-        "GeneratorSpec", "generate", "henon", "logistic", "lorenz", "sine", "white_noise",
-    ),
+    "generators": ("generate", "henon", "logistic", "lorenz", "sine", "white_noise"),
     "pipeline": ("PipelineConfig", "PipelineReport", "run_pipeline", "parse_key_value_config"),
     "errors": (
         "DelayMapError", "SeriesLoadError", "DegenerateSeriesError",

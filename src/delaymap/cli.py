@@ -38,7 +38,7 @@ from ._version import __version__
 from .boxdim import EntropyScaling, default_r_ladder, entropy_scaling, information_dimension
 from .embedding import EmbeddingParams, check_axes, cloud_from_points, delay_embed
 from .errors import DelayMapError, ScalingFitError, SeriesLoadError
-from .generators import GENERATORS, SETTINGS, GeneratorSpec, SettingError, generate
+from .generators import GENERATORS, SETTINGS, SettingError, generate
 from .mutual import ami_curve, first_local_minimum
 from .neighbors import embedding_dimension
 from .pipeline import (
@@ -166,16 +166,15 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_synth(args, parser):
     kind = args.kind
     given = {k: getattr(args, k) for k in _SYNTH_FLAGS if getattr(args, k) is not None}
-    own_fields = {name: given.pop(name, None) for name in ("seed", "transient_skip")}
     try:
-        spec = GeneratorSpec(kind, args.n, given, **own_fields)
+        series = generate(kind, args.n, **given)
     except SettingError as e:
         flag = _SYNTH_FLAGS[e.setting]
         parser.error(f"{kind} requires {flag}" if e.missing else f"{kind} does not take {flag}")
-    series = generate(spec)
-    full = spec.arguments()
-    shown = [f"{_SYNTH_FLAGS[k][2:]}={full[k]}" for k in own_fields if k in full]
-    shown += [f"{k}={v}" for k, v in sorted(given.items())]
+    # seed and skip come first, the skip shown even at its default
+    first = [k for k in ("seed", "transient_skip") if k in SETTINGS[kind]]
+    shown = [f"{_SYNTH_FLAGS[k][2:]}={given.get(k, SETTINGS[kind][k].default)}" for k in first]
+    shown += [f"{k}={v}" for k, v in sorted(given.items()) if k not in first]
     with _out(args.output, sys.stdout) as out:
         out.write(" ".join([f"# delaymap synth: kind={kind} n={args.n}", *shown]) + "\n")
         write_rows(out, series.values)
@@ -227,7 +226,7 @@ def _cmd_embed(args, parser):
         except ValueError as e:
             parser.error(f"--axes: {e}")
     with _out(args.output, sys.stdout) as out:
-        write_cloud_csv(out, cloud, args.axes or tuple(range(cloud.n)))
+        write_cloud_csv(out, cloud, args.delay, args.axes or tuple(range(cloud.n)))
     return EXIT_OK
 
 

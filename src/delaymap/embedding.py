@@ -45,22 +45,17 @@ class EmbeddingParams:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """The reconstructed attractor sample.
-
-    Attributes:
-        points: (M, n) float64 array with M >= 1 and n = params.dimension;
-            the cloud holds its own read-only copy.
-        params: the embedding that produced the cloud.
+    """The reconstructed attractor sample: M >= 1 points in n >= 1
+    coordinates, held as the cloud's own read-only, row-major (M, n)
+    float64 copy of ``points``.  The delay that made it is the caller's.
     """
 
     points: np.ndarray
-    params: EmbeddingParams
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64, order="C")  # row-major from any view
-        dim = self.params.dimension
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != dim:
-            raise ValueError(f"points shape {pts.shape} is not (M >= 1, n = {dim})")
+        if pts.ndim != 2 or min(pts.shape) < 1:
+            raise ValueError(f"points shape {pts.shape} is not (M >= 1, n >= 1)")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -91,21 +86,17 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PointCloud:
             f"(n-1)*T = {params.window_span - 1} >= N = {n_samples}: empty embedding"
         )
     windows = sliding_window_view(series.values, params.window_span)
-    return PointCloud(windows[:, :: params.delay], params)
+    return PointCloud(windows[:, :: params.delay])
 
 
 def cloud_from_points(points) -> PointCloud:
     """Wrap a raw (M, n) coordinate array, or an (M,) one as n = 1.
 
     For clouds that did not come from a delay embedding (loaded from a
-    file, or built analytically); the attached params are the trivial
-    embedding EmbeddingParams(1, n).  PointCloud checks the shape.
+    file, or built analytically).  PointCloud checks the shape.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    # any other rank fails PointCloud's check, whatever dimension it is given
-    return PointCloud(pts, EmbeddingParams(1, pts.shape[1] if pts.ndim == 2 else 1))
+    return PointCloud(pts[:, None] if pts.ndim == 1 else pts)
 
 
 def check_axes(cloud: PointCloud, axes: Sequence[int]) -> None:

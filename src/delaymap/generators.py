@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import DivergenceError
 from .series import TimeSeries
 
 __all__ = [
-    "GENERATORS", "SETTINGS", "GeneratorSpec", "SettingError", "generate",
+    "GENERATORS", "SETTINGS", "SettingError", "generate",
     "henon", "logistic", "lorenz", "sine", "white_noise", "DEFAULT_TRANSIENT_SKIP",
 ]
 
@@ -41,7 +40,7 @@ def henon(
     Raises DivergenceError (with the 1-based iteration count, transient
     included) if the orbit leaves |x| < 1e6.
     """
-    _check_henon(n, a, b, x0, y0, transient_skip)
+    _check(n, transient_skip, a=a, b=b, x0=x0, y0=y0)
     x, y = float(x0), float(y0)
     out = np.empty(n)
     for i in range(-transient_skip, n):
@@ -56,13 +55,6 @@ def henon(
     return TimeSeries(out, label="henon")
 
 
-def _check_henon(n, a, b, x0, y0, transient_skip):
-    _check_emission(n, transient_skip)
-    for name, v in (("a", a), ("b", b), ("x0", x0), ("y0", y0)):
-        if not math.isfinite(v):
-            raise ValueError(f"parameter {name} must be finite")
-
-
 def logistic(
     n: int,
     r: float = 4.0,
@@ -70,7 +62,11 @@ def logistic(
     transient_skip: int = DEFAULT_TRANSIENT_SKIP,
 ) -> TimeSeries:
     """Logistic map x' = r*x*(1-x); bounded for r in (0, 4], x0 in (0, 1)."""
-    _check_logistic(n, r, x0, transient_skip)
+    _check(n, transient_skip, r=r, x0=x0)
+    if not 0.0 < r <= 4.0:
+        raise ValueError(f"r must lie in (0, 4], got {r}")
+    if not 0.0 < x0 < 1.0:
+        raise ValueError(f"x0 must lie in (0, 1), got {x0}")
     x = float(x0)
     out = np.empty(n)
     for i in range(-transient_skip, n):
@@ -78,14 +74,6 @@ def logistic(
         if i >= 0:
             out[i] = x
     return TimeSeries(out, label="logistic")
-
-
-def _check_logistic(n, r, x0, transient_skip):
-    _check_emission(n, transient_skip)
-    if not 0.0 < r <= 4.0:
-        raise ValueError(f"r must lie in (0, 4], got {r}")
-    if not 0.0 < x0 < 1.0:
-        raise ValueError(f"x0 must lie in (0, 1), got {x0}")
 
 
 def lorenz(
@@ -102,7 +90,9 @@ def lorenz(
     The step is fixed (not adaptive) so runs are bit-reproducible; dt must
     lie in (0, 0.05].  One sample is emitted per step after the transient.
     """
-    _check_lorenz(n, dt, transient_skip)
+    _check(n, transient_skip, dt=dt, sigma=sigma, rho=rho, beta=beta, initial=initial)
+    if not 0.0 < dt <= 0.05:
+        raise ValueError(f"dt must lie in (0, 0.05], got {dt}")
 
     # Each stage writes the derivative (sigma (y - x), x (rho - z) - y,
     # x y - beta z) out: a function call per stage costs about a quarter
@@ -132,12 +122,6 @@ def lorenz(
     return TimeSeries(out, label="lorenz")
 
 
-def _check_lorenz(n, dt, transient_skip, **_):
-    _check_emission(n, transient_skip)
-    if not 0.0 < dt <= 0.05:
-        raise ValueError(f"dt must lie in (0, 0.05], got {dt}")
-
-
 def sine(
     n: int, period_samples: int, amplitude: float = 1.0, phase: float = 0.0
 ) -> TimeSeries:
@@ -149,18 +133,14 @@ def sine(
     land on the same reconstructed points instead of drifting by
     accumulated rounding.
     """
-    _check_sine(n, period_samples)
+    _check(n, amplitude=amplitude, phase=phase)
+    if _integer("period_samples", period_samples) < 2:
+        raise ValueError(f"period must be >= 2 samples, got {period_samples}")
     i = np.arange(n) % period_samples
     return TimeSeries(
         amplitude * np.sin(2.0 * np.pi * (i / period_samples) + phase),
         label="sine",
     )
-
-
-def _check_sine(n, period_samples, **_):
-    _check_emission(n)
-    if _integer("period_samples", period_samples) < 2:
-        raise ValueError(f"period must be >= 2 samples, got {period_samples}")
 
 
 _MASK64 = (1 << 64) - 1
@@ -192,8 +172,10 @@ def white_noise(
     (log/cos/sin), which is bit-stable on any one platform and matches
     across platforms with correctly-rounded math libraries.
     """
-    _check_white_noise(n, seed, stddev)
-    seed = operator.index(seed)  # a numpy integer as an int, so the mask cannot overflow
+    _check(n, mean=mean, stddev=stddev)
+    if not stddev > 0:
+        raise ValueError(f"stddev must be positive, got {stddev}")
+    seed = _integer("seed", seed)  # a numpy integer as an int, so the mask cannot overflow
     pairs = (n + 1) // 2
     ks = np.uint64(seed & _MASK64) + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN
     z = ks
@@ -210,23 +192,10 @@ def white_noise(
     return TimeSeries(mean + stddev * out[:n], label="white_noise")
 
 
-def _check_white_noise(n, seed, stddev, **_):
-    _check_emission(n)
-    if not stddev > 0:
-        raise ValueError(f"stddev must be positive, got {stddev}")
-    _integer("seed", seed)
-
-
 #: kind -> generator.  A kind's settings are its generator's keyword
-#: parameters after n: GeneratorSpec takes exactly those, and `delaymap
-#: synth` has a flag for each.
+#: parameters after n: generate takes exactly those, and `delaymap synth`
+#: has a flag for each.  The generator refuses a bad value itself.
 GENERATORS = {fn.__name__: fn for fn in (henon, logistic, lorenz, sine, white_noise)}
-#: kind -> the range and type checks its generator runs first, taking n and
-#: every setting by name, so a GeneratorSpec runs them when it is built
-_CHECKS = {
-    "henon": _check_henon, "logistic": _check_logistic, "lorenz": _check_lorenz,
-    "sine": _check_sine, "white_noise": _check_white_noise,
-}
 #: kind -> {setting name: inspect.Parameter}, annotations resolved
 SETTINGS = {
     kind: dict(list(inspect.signature(fn, eval_str=True).parameters.items())[1:])
@@ -242,48 +211,23 @@ class SettingError(ValueError):
         self.setting, self.missing = setting, missing
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative recipe for one synthetic series.
+def generate(kind: str, n: int, **settings) -> TimeSeries:
+    """n samples of the kind's series, its settings given by name.
 
-    parameters carries the kind's settings by name (e.g. {"a": 1.4} for
-    henon, {"period_samples": 50} for sine), except seed and
-    transient_skip, which have fields of their own; None leaves one out,
-    so transient_skip=None means the generator's own default.  A setting
-    the kind does not take or a required one left out (SettingError), or
-    a value its generator refuses (a non-integer int setting, a sine period
-    under 2, ...), raises ValueError here, not when generating.
+    An unknown kind raises ValueError; a setting the kind does not take,
+    or a required one left out, raises SettingError.  Settings left out
+    take the generator's defaults, and the generator refuses a bad value
+    (a non-integer int setting, a non-finite float, a sine period under
+    2, ...) before it computes anything.
     """
-
-    kind: str
-    n: int
-    parameters: dict = field(default_factory=dict)
-    seed: int | None = None
-    transient_skip: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in GENERATORS:
-            raise ValueError(f"unknown kind {self.kind!r}; pick from {tuple(GENERATORS)}")
-        _CHECKS[self.kind](self.n, **self.arguments())
-
-    def arguments(self) -> dict:
-        """Every setting of the kind's generator, defaults filled in."""
-        settings, given = SETTINGS[self.kind], dict(self.parameters)
-        for name in ("seed", "transient_skip"):
-            if name in given:
-                raise ValueError(f"give {name} as its own GeneratorSpec field")
-            if getattr(self, name) is not None:
-                given[name] = getattr(self, name)
-        unknown = [name for name in given if name not in settings]
-        missing = [k for k, p in settings.items() if k not in given and p.default is p.empty]
-        for name in unknown or missing:
-            raise SettingError(self.kind, name, missing=not unknown)
-        return {name: given.get(name, p.default) for name, p in settings.items()}
-
-
-def generate(spec: GeneratorSpec) -> TimeSeries:
-    """Run the generator a GeneratorSpec describes."""
-    return GENERATORS[spec.kind](spec.n, **spec.arguments())
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown kind {kind!r}; pick from {tuple(GENERATORS)}")
+    takes = SETTINGS[kind]
+    unknown = [name for name in settings if name not in takes]
+    missing = [k for k, p in takes.items() if k not in settings and p.default is p.empty]
+    for name in unknown or missing:
+        raise SettingError(kind, name, missing=not unknown)
+    return GENERATORS[kind](n, **settings)
 
 
 def _integer(name: str, value) -> int:
@@ -294,8 +238,13 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_emission(n: int, transient_skip: int = 0) -> None:
+def _check(n: int, transient_skip: int = 0, **floats) -> None:
+    """The checks every generator runs first: n >= 2, transient_skip >= 0,
+    and each float setting (or each element of a tuple one) finite."""
     if _integer("n", n) < 2:
         raise ValueError("need n >= 2")
     if _integer("transient_skip", transient_skip) < 0:
         raise ValueError("transient_skip must be >= 0")
+    for name, value in floats.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"parameter {name} must be finite")

@@ -250,10 +250,9 @@ def write_rows(out: TextIO, block: np.ndarray) -> None:
         out.write("\n".join(lines) + "\n")
 
 
-def write_cloud_csv(out: TextIO, cloud: PointCloud, axes: tuple[int, ...]) -> None:
-    p = cloud.params
+def write_cloud_csv(out: TextIO, cloud: PointCloud, delay: int, axes: tuple[int, ...]) -> None:
     out.write(
-        f"# delaymap embed: delay={p.delay} dimension={p.dimension} "
+        f"# delaymap embed: delay={delay} dimension={cloud.n} "
         f"count={len(cloud)} axes={','.join(str(a) for a in axes)}\n"
     )
     write_rows(out, cloud.points[:, list(axes)])
@@ -349,7 +348,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         params = EmbeddingParams(report.selected_delay, report.selected_dimension)
         cloud = delay_embed(series, params)
         axes = tuple(range(min(cloud.n, 3)))
-        _write_artifact(report, "attractor.csv", lambda fh: write_cloud_csv(fh, cloud, axes))
+        _write_artifact(
+            report, "attractor.csv", lambda fh: write_cloud_csv(fh, cloud, params.delay, axes)
+        )
 
     with _stage("entropy"):
         vr = series_stats.value_range

@@ -103,6 +103,16 @@ def test_synth_help_lists_one_flag_per_generator_setting(capsys):
     assert "henon does not take --period" in capsys.readouterr().err
 
 
+def test_synth_refuses_a_non_finite_setting_before_writing(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["synth", "--kind", "sine", "-n", "8", "--period", "4", "--amplitude", "inf"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--output", str(out)]) == 1
+    assert "parameter amplitude must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_then_ami_chain(tmp_path, capsys):
     series_file = tmp_path / "s.csv"
     assert main(

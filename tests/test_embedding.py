@@ -96,14 +96,14 @@ def test_cloud_from_points_wraps_raw_arrays():
 
 def test_point_cloud_takes_its_shape_from_the_points_and_params():
     with pytest.raises(ValueError, match=r"is not \(M >= 1"):
-        PointCloud(np.zeros((4, 3)), EmbeddingParams(1, 2))
+        PointCloud(np.zeros((0, 2)))
     with pytest.raises(ValueError, match=r"is not \(M >= 1"):
-        PointCloud(np.zeros((0, 2)), EmbeddingParams(1, 2))
+        PointCloud(np.zeros((4, 0)))
     with pytest.raises(ValueError, match=r"is not \(M >= 1"):
-        PointCloud(np.zeros(4), EmbeddingParams(1, 1))
+        PointCloud(np.zeros(4))
     with pytest.raises(ValueError):
         cloud_from_points(np.zeros((0, 2)))
-    c = PointCloud([[1, 2], [3, 4]], EmbeddingParams(5, 2))
+    c = PointCloud([[1, 2], [3, 4]])
     assert c.n == 2 and len(c) == 2 and c.points.dtype == np.float64
 
 

@@ -1,10 +1,12 @@
+import warnings
+from typing import get_args
+
 import numpy as np
 import pytest
 
 from delaymap import (
     DivergenceError,
     EmbeddingParams,
-    GeneratorSpec,
     TimeSeries,
     ami_curve,
     default_r_ladder,
@@ -19,6 +21,7 @@ from delaymap import (
     sine,
     white_noise,
 )
+from delaymap.generators import SETTINGS
 from oracles import gaussian_draws
 
 
@@ -240,69 +243,101 @@ def test_white_noise_validation():
         white_noise(100, 1, stddev=-1.0)
 
 
-# ------------------------------------------------- GeneratorSpec bridge
+# -------------------------------- generate: a kind and its settings
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        GeneratorSpec(kind="brownian", n=100)
+        generate("brownian", 100)
     with pytest.raises(ValueError):
-        GeneratorSpec(kind="henon", n=1)
+        generate("henon", 1)
     with pytest.raises(ValueError):
-        GeneratorSpec(kind="henon", n=100, transient_skip=-1)
+        generate("henon", 100, transient_skip=-1)
     with pytest.raises(ValueError):
-        GeneratorSpec(kind="white_noise", n=100)  # no seed
+        generate("white_noise", 100)  # no seed
     # every setting is checked against the kind's generator signature
-    for bad in (
-        {"kind": "henon", "seed": 5},
-        {"kind": "sine", "parameters": {"period_samples": 8}, "transient_skip": 7},
-        {"kind": "white_noise", "seed": 1, "transient_skip": 7},
-        {"kind": "henon", "parameters": {"r": 3.0}},
-        {"kind": "sine"},  # no period_samples
-        {"kind": "white_noise", "seed": 1, "parameters": {"seed": 2}},  # seed has a field
+    for kind, settings in (
+        ("henon", {"seed": 5}),
+        ("sine", {"period_samples": 8, "transient_skip": 7}),
+        ("white_noise", {"seed": 1, "transient_skip": 7}),
+        ("henon", {"r": 3.0}),
+        ("sine", {}),  # no period_samples
     ):
         with pytest.raises(ValueError):
-            GeneratorSpec(n=100, **bad)
+            generate(kind, 100, **settings)
     # an int setting must be an integer, named in the error
-    for bad, setting in (
-        ({"kind": "sine", "n": 8, "parameters": {"period_samples": 2.5}}, "period_samples"),
-        ({"kind": "henon", "n": 5, "transient_skip": 2.5}, "transient_skip"),
-        ({"kind": "henon", "n": 10.0}, "n"),
-        ({"kind": "white_noise", "n": 10, "seed": 2.5}, "seed"),
+    for kind, n, settings, setting in (
+        ("sine", 8, {"period_samples": 2.5}, "period_samples"),
+        ("henon", 5, {"transient_skip": 2.5}, "transient_skip"),
+        ("henon", 10.0, {}, "n"),
+        ("white_noise", 10, {"seed": 2.5}, "seed"),
     ):
         with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
-            GeneratorSpec(**bad)
-    # a value the generator refuses is refused when the spec is built
-    for bad, message in (
-        ({"kind": "sine", "parameters": {"period_samples": 1}}, "period must be >= 2"),
-        ({"kind": "logistic", "parameters": {"r": 5.0}}, "r must lie in"),
-        ({"kind": "lorenz", "parameters": {"dt": 0.1}}, "dt must lie in"),
-        ({"kind": "henon", "parameters": {"a": float("nan")}}, "parameter a must be finite"),
-        ({"kind": "white_noise", "seed": 1, "parameters": {"stddev": 0.0}}, "stddev must be positive"),
+            generate(kind, n, **settings)
+    # a value the generator refuses is refused before it computes anything
+    for kind, settings, message in (
+        ("sine", {"period_samples": 1}, "period must be >= 2"),
+        ("logistic", {"r": 5.0}, "r must lie in"),
+        ("lorenz", {"dt": 0.1}, "dt must lie in"),
+        ("henon", {"a": float("nan")}, "parameter a must be finite"),
+        ("white_noise", {"seed": 1, "stddev": 0.0}, "stddev must be positive"),
     ):
         with pytest.raises(ValueError, match=message):
-            GeneratorSpec(n=8, **bad)
-    spec = GeneratorSpec("sine", 8, {"period_samples": np.int64(4)})
-    assert np.array_equal(generate(spec).values, sine(8, 4).values)
+            generate(kind, 8, **settings)
+    made = generate("sine", 8, period_samples=np.int64(4))
+    assert np.array_equal(made.values, sine(8, 4).values)
+
+
+def _required(kind):
+    """A value for each setting the kind requires, by its annotation."""
+    return {
+        name: {int: 8, float: 0.5}[p.annotation]
+        for name, p in SETTINGS[kind].items() if p.default is p.empty
+    }
+
+
+def _float_cases():
+    """(kind, setting, value) for every float setting of every kind, and
+    every element of a tuple of floats, set to nan and to inf."""
+    for kind, settings in SETTINGS.items():
+        for name, p in settings.items():
+            if p.annotation is float:
+                bad = [float("nan"), float("inf")]
+            elif set(get_args(p.annotation)) == {float}:
+                bad = [
+                    p.default[:i] + (v,) + p.default[i + 1 :]
+                    for i in range(len(p.default)) for v in (float("nan"), float("inf"))
+                ]
+            else:
+                continue
+            for value in bad:
+                yield pytest.param(kind, name, value, id=f"{kind}-{name}={value}")
+
+
+@pytest.mark.parametrize("kind, setting, value", _float_cases())
+def test_every_generator_refuses_a_non_finite_float_setting(kind, setting, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"\b{setting}\b"):
+            generate(kind, 8, **{**_required(kind), setting: value})
 
 
 def test_generate_matches_direct_calls():
     cases = [
-        (GeneratorSpec("henon", 200, {"a": 1.2, "b": 0.25}), henon(200, a=1.2, b=0.25)),
-        (GeneratorSpec("logistic", 150, {"r": 3.7}), logistic(150, r=3.7)),
+        (generate("henon", 200, a=1.2, b=0.25), henon(200, a=1.2, b=0.25)),
+        (generate("logistic", 150, r=3.7), logistic(150, r=3.7)),
         (
-            GeneratorSpec("lorenz", 100, {"dt": 0.02}, transient_skip=200),
+            generate("lorenz", 100, dt=0.02, transient_skip=200),
             lorenz(100, dt=0.02, transient_skip=200),
         ),
         (
-            GeneratorSpec("sine", 64, {"period_samples": 16, "amplitude": 2.0}),
+            generate("sine", 64, period_samples=16, amplitude=2.0),
             sine(64, 16, amplitude=2.0),
         ),
         (
-            GeneratorSpec("white_noise", 99, {"stddev": 0.5}, seed=11),
+            generate("white_noise", 99, stddev=0.5, seed=11),
             white_noise(99, 11, stddev=0.5),
         ),
     ]
-    for spec, direct in cases:
-        made = generate(spec)
+    for made, direct in cases:
         assert np.array_equal(made.values, direct.values)
         assert made.label == direct.label

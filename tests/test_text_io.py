@@ -28,8 +28,8 @@ from delaymap import (
     lorenz,
     series_from_text,
 )
-from delaymap.cli import main
-from delaymap.generators import GeneratorSpec, generate
+from delaymap.cli import _SYNTH_FLAGS, main
+from delaymap.generators import GENERATORS, SETTINGS, generate
 from delaymap.pipeline import repr_cells, write_cloud_csv
 from oracles import load_csv_rows
 
@@ -324,10 +324,9 @@ def test_numpy_reads_each_cell_it_accepts_as_float_does(cell):
     assert value.hex() == float(cell).hex()
 
 
-def _cloud_text_by_value(cloud, axes):
-    p = cloud.params
+def _cloud_text_by_value(cloud, delay, axes):
     head = (
-        f"# delaymap embed: delay={p.delay} dimension={p.dimension} "
+        f"# delaymap embed: delay={delay} dimension={cloud.n} "
         f"count={len(cloud)} axes={','.join(str(a) for a in axes)}\n"
     )
     rows = cloud.points[:, list(axes)]
@@ -349,28 +348,25 @@ def test_cloud_writer_is_byte_identical_to_per_value_repr():
     cloud = cloud_from_points(pts)
     for axes in ((0, 1, 2), (2, 0)):
         out = io.StringIO()
-        write_cloud_csv(out, cloud, axes)
-        assert out.getvalue() == _cloud_text_by_value(cloud, axes)
+        write_cloud_csv(out, cloud, 1, axes)
+        assert out.getvalue() == _cloud_text_by_value(cloud, 1, axes)
 
     embedded = delay_embed(lorenz(6000), EmbeddingParams(17, 3))
     out = io.StringIO()
-    write_cloud_csv(out, embedded, (0, 1, 2))
-    assert out.getvalue() == _cloud_text_by_value(embedded, (0, 1, 2))
+    write_cloud_csv(out, embedded, 17, (0, 1, 2))
+    assert out.getvalue() == _cloud_text_by_value(embedded, 17, (0, 1, 2))
 
 
-@pytest.mark.parametrize(
-    "argv, spec",
-    [
-        (["--kind", "lorenz", "-n", "9000"], GeneratorSpec("lorenz", 9000)),
-        (["--kind", "white_noise", "-n", "5000", "--seed", "4"],
-         GeneratorSpec("white_noise", 5000, seed=4)),
-        (["--kind", "sine", "-n", "100", "--period", "8"],
-         GeneratorSpec("sine", 100, {"period_samples": 8})),
-    ],
-)
-def test_synth_output_is_byte_identical_to_per_value_repr(tmp_path, argv, spec):
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_synth_output_is_byte_identical_to_per_value_repr(tmp_path, kind):
+    # each kind with only its required settings, past one slab of rows
+    required = {
+        name: {int: 8, float: 0.5}[p.annotation]
+        for name, p in SETTINGS[kind].items() if p.default is p.empty
+    }
+    flags = [f"{_SYNTH_FLAGS[name]}={value}" for name, value in required.items()]
     out = tmp_path / "synth.csv"
-    assert main(["synth", *argv, "--output", str(out)]) == 0
+    assert main(["synth", "--kind", kind, "-n", "5000", *flags, "--output", str(out)]) == 0
     head, body = out.read_text(encoding="utf-8").split("\n", 1)
-    assert head.startswith(f"# delaymap synth: kind={spec.kind} n={spec.n}")
-    assert body == "".join(repr(float(v)) + "\n" for v in generate(spec).values)
+    assert head.startswith(f"# delaymap synth: kind={kind} n=5000")
+    assert body == "".join(repr(float(v)) + "\n" for v in generate(kind, 5000, **required).values)
