@@ -188,16 +188,13 @@ def _cmd_ami(args, parser):
     curve = ami_curve(series, t_max=args.t_max, bins=args.j_bins)
     with _out(args.output, sys.stdout) as out:
         write_mi_csv(out, curve, args.j_bins, len(series))
-    summary = dict.fromkeys(("selected_lag", "fallback_used", "bits_at_selected"))
-    if len(curve) >= 3:
-        sel = first_local_minimum(curve)
-        summary = {
-            "selected_lag": sel.lag,
-            "fallback_used": sel.fallback_used,
-            "bits_at_selected": float(curve.bits[sel.lag - 1]),
-        }
-    _emit_summary(args, summary)
-    return EXIT_NO_DELAY_MINIMUM if summary["fallback_used"] else EXIT_OK
+    sel = first_local_minimum(curve)
+    _emit_summary(args, {
+        "selected_lag": sel.lag,
+        "fallback_used": sel.fallback_used,
+        "bits_at_selected": float(curve.bits[sel.lag - 1]),
+    })
+    return EXIT_NO_DELAY_MINIMUM if sel.fallback_used else EXIT_OK
 
 
 # ----------------------------------------------------------------- fnn
@@ -272,7 +269,8 @@ def _read_scaling_csv(path) -> list[tuple[float, float]]:
 
     Data rows are those the series loader reads.  The first is a header
     when its first or last cell is not a number; any other row that is not
-    at least two finite numeric cells is a load error, never dropped.
+    at least two finite numeric cells, or a file with no data row, is a
+    load error, never dropped.
     """
     with text_lines(_source(path)) as (name, lines):
         rows = _read_rows(lines, ",", name)
@@ -289,22 +287,15 @@ def _read_scaling_csv(path) -> list[tuple[float, float]]:
         if not np.isfinite(pair).all():
             raise SeriesLoadError(f"{name}:{lineno}: non-finite scaling row {','.join(row)!r}")
         entries.append(pair)
+    if not entries:
+        raise SeriesLoadError(f"{name}: no data rows")
     return entries
 
 
 def _cmd_dimension(args, parser):
-    try:
-        window = fit_range(args.fit_r_lo, args.fit_r_hi)
-    except ValueError as e:
-        parser.error(str(e))
-    entries = _read_scaling_csv(args.input)
-    if len(entries) < 3:
-        print(
-            f"error: need at least 3 scaling entries to fit, found {len(entries)}",
-            file=sys.stderr,
-        )
-        return EXIT_NO_SCALING
-    est = information_dimension(EntropyScaling(tuple(entries)), window)
+    window = fit_range(args.fit_r_lo, args.fit_r_hi)  # checked before the file is read
+    scaling = EntropyScaling(tuple(_read_scaling_csv(args.input)))
+    est = information_dimension(scaling, window)
     with _out(args.output, sys.stdout) as out:
         out.write(json.dumps(estimate_json(est), sort_keys=True) + "\n")
     return EXIT_OK

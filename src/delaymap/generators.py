@@ -93,6 +93,8 @@ def lorenz(
     _check(n, transient_skip, dt=dt, sigma=sigma, rho=rho, beta=beta, initial=initial)
     if not 0.0 < dt <= 0.05:
         raise ValueError(f"dt must lie in (0, 0.05], got {dt}")
+    if np.shape(initial) != (3,):
+        raise ValueError(f"initial must be three numbers (x, y, z), got {initial!r}")
 
     # Each stage writes the derivative (sigma (y - x), x (rho - z) - y,
     # x y - beta z) out: a function call per stage costs about a quarter

@@ -240,11 +240,10 @@ def first_local_minimum(curve: MICurve) -> DelaySelection:
 
     A lag T qualifies when I(T-1) > I(T) and I(T) <= I(T+1); a plateau
     counts as a minimum at its first index.  Only interior entries can
-    qualify.  If the curve has no such point (monotone case) the result
-    carries the argmin over the scanned range with ``fallback_used=True``.
+    qualify.  If the curve has no such point (monotone case, or fewer than
+    3 entries) the result carries the argmin over the scanned range with
+    ``fallback_used=True``.
     """
-    if len(curve) < 3:
-        raise ValueError(f"need at least 3 curve entries, got {len(curve)}")
     b = curve.bits
     for k in range(1, len(curve) - 1):
         if b[k - 1] > b[k] and b[k] <= b[k + 1]:

@@ -414,8 +414,6 @@ def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     n = len(points)
     nn_idx = np.full(n, -1, dtype=np.int64)
     nn_dist = np.full(n, np.inf)
-    if n < 2:
-        return nn_idx, nn_dist
     tree = cKDTree(points, balanced_tree=False)
     pending = np.arange(n)
     k = min(n, 3)

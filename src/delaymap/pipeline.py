@@ -197,9 +197,7 @@ def estimate_json(est: DimensionEstimate) -> dict:
 
 
 def _fmt(v) -> str:
-    """CSV cell: shortest round-trip decimal for floats, plain for ints."""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    """CSV cell: the shortest decimal that reads back as the same float."""
     return repr(float(v))
 
 

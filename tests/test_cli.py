@@ -58,9 +58,9 @@ def test_synth_roundtrips_through_the_loader(tmp_path):
         ["synth", "--kind", "white_noise", "-n", "50", "--seed", "1", "--skip", "5"],
         ["synth", "--kind", "lorenz", "-n", "50", "--initial", "1,2"],
         ["pipeline"],  # no input anywhere
-        ["dimension", "x", "--fit-r-lo", "0.5", "--fit-r-hi", "0.1"],  # reversed
-        ["dimension", "x", "--fit-r-lo", "0", "--fit-r-hi", "0.1"],  # r must be > 0
-        ["dimension", "x", "--fit-r-lo", "0.1"],  # missing --fit-r-hi
+        ["dimension"],  # no input
+        ["dimension", "x", "--fit-r-lo", "low", "--fit-r-hi", "0.1"],  # not a number
+        ["dimension", "x", "--fit-r-hi"],  # flag without its value
         ["ami", "x", "--missing-policy", "bogus"],
         ["pipeline", "x", "--missing-policy", "bogus"],
         ["fnn", "x", "--delay", "1", "--m-max", "many"],
@@ -76,10 +76,10 @@ def test_usage_errors_exit_2(argv):
     "argv",
     [
         ["embed", "{series}", "--delay", "1", "--dimension", "2", "--axes", "0,5"],
-        ["dimension", "x", "--fit-r-lo", "1"],  # missing --fit-r-hi
+        ["pipeline"],  # no input anywhere
         ["synth", "--kind", "henon", "-n", "10", "--seed", "5"],
     ],
-    ids=["embed", "dimension", "synth"],
+    ids=["embed", "pipeline", "synth"],
 )
 def test_usage_errors_found_by_a_command_print_its_usage_line(argv, tmp_path, capsys):
     series = write_series(tmp_path / "s.csv", np.arange(30.0))
@@ -131,15 +131,17 @@ def test_synth_then_ami_chain(tmp_path, capsys):
     assert summary["fallback_used"] is False
 
 
-def test_ami_too_short_for_selection_gives_null_summary(tmp_path, capsys):
+def test_ami_too_short_for_selection_falls_back_to_the_argmin(tmp_path, capsys):
+    # twelve samples scan one lag: no interior entry, so no local minimum
     path = write_series(tmp_path / "tiny.csv", np.sin(np.arange(12.0)))
     summary_file = tmp_path / "summary.json"
     code = main(["ami", str(path), "--summary", str(summary_file)])
-    assert code == 0
+    assert code == 4
+    bits = float(capsys.readouterr().out.splitlines()[-1].split(",")[1])
     assert json.loads(summary_file.read_text()) == {
-        "selected_lag": None,
-        "fallback_used": None,
-        "bits_at_selected": None,
+        "selected_lag": 1,
+        "fallback_used": True,
+        "bits_at_selected": bits,
     }
 
 
@@ -290,7 +292,59 @@ def test_dimension_with_two_entries_exits_6(tmp_path, capsys):
     scaling.write_text("0.5,1.0,1.0\n0.25,2.0,2.0\n")
     code = main(["dimension", str(scaling)])
     assert code == 6
-    assert "at least 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: need >= 3 scaling points to fit, have 2\n"
+
+
+def test_dimension_refuses_a_scaling_file_with_no_data_row(tmp_path, capsys):
+    scaling = tmp_path / "scaling.csv"
+    scaling.write_text("# delaymap entropy: dimension=2 total=9\nr,log2_inv_r,S_bits\n")
+    assert main(["dimension", str(scaling)]) == 3
+    assert capsys.readouterr().err == f"error: {scaling}: no data rows\n"
+
+
+@pytest.mark.parametrize(
+    "stage, flags, code, errors",
+    [
+        pytest.param(
+            ["dimension", "{absent}", "--fit-r-lo", "0.1"], ["--fit-r-lo", "0.1"], 1,
+            ["error: fit_r_lo and fit_r_hi must be given together"] * 2, id="fit-half-given",
+        ),
+        pytest.param(
+            ["dimension", "{absent}", "--fit-r-lo", "0.5", "--fit-r-hi", "0.1"],
+            ["--fit-r-lo", "0.5", "--fit-r-hi", "0.1"], 1,
+            ["error: need 0 < fit_r_lo <= fit_r_hi, got 0.5 and 0.1"] * 2, id="fit-reversed",
+        ),
+        pytest.param(
+            ["dimension", "{absent}", "--fit-r-lo", "0", "--fit-r-hi", "0.1"],
+            ["--fit-r-lo", "0", "--fit-r-hi", "0.1"], 1,
+            ["error: need 0 < fit_r_lo <= fit_r_hi, got 0.0 and 0.1"] * 2, id="fit-zero",
+        ),
+        pytest.param(
+            ["ami", "{series}", "--t-max", "2"], ["--t-max", "2"], 4, ["", ""],
+            id="short-mi-curve",
+        ),
+        # the pipeline reports too few scaling points as its status, on stdout
+        pytest.param(
+            ["dimension", "{out}/entropy_scaling.csv"], ["--ladder-steps", "2"], 6,
+            ["", "error: need >= 3 scaling points to fit, have 2"], id="two-scaling-rows",
+        ),
+    ],
+)
+def test_a_stage_command_and_the_pipeline_apply_one_rule_alike(
+    tmp_path, capsys, stage, flags, code, errors
+):
+    paths = {
+        "series": write_series(tmp_path / "henon.csv", henon(1000).values),
+        "out": str(tmp_path / "out"),
+        "absent": str(tmp_path / "absent.csv"),  # a fit window is refused before any read
+    }
+    got = []
+    # the pipeline first: the stage may read what it wrote
+    for argv in (["pipeline", "{series}", "--output-dir", "{out}", *flags], stage):
+        exit_code = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        got.append((exit_code, "\n".join(s for s in err.splitlines() if s.startswith("error"))))
+    assert got == [(code, errors[0]), (code, errors[1])]
 
 
 @pytest.mark.parametrize(

@@ -173,9 +173,12 @@ def test_first_local_minimum_examples():
     assert (sel.lag, sel.fallback_used) == (2, False)
 
 
-def test_first_local_minimum_needs_three_entries():
-    with pytest.raises(ValueError):
-        first_local_minimum(MICurve(np.array([1, 2]), np.array([2.0, 1.0])))
+def test_first_local_minimum_on_fewer_than_three_entries_falls_back():
+    # no interior entry, so no minimum: the argmin, flagged as a fallback
+    sel = first_local_minimum(MICurve(np.array([1, 2]), np.array([2.0, 1.0])))
+    assert (sel.lag, sel.fallback_used) == (2, True)
+    sel = first_local_minimum(MICurve(np.array([1]), np.array([0.5])))
+    assert (sel.lag, sel.fallback_used) == (1, True)
 
 
 def test_curve_validation():

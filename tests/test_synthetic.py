@@ -127,6 +127,16 @@ def test_lorenz_dt_validation():
         lorenz(10, dt=0.06)
 
 
+@pytest.mark.parametrize(
+    "initial", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), 1.0], ids=["two", "four", "scalar"]
+)
+def test_lorenz_refuses_an_initial_state_that_is_not_three_numbers(initial):
+    with pytest.raises(ValueError, match=r"^initial must be three numbers"):
+        lorenz(8, initial=initial)
+    with pytest.raises(ValueError, match=r"^initial must be three numbers"):
+        generate("lorenz", 8, initial=initial)
+
+
 def test_lorenz_halving_dt_leaves_dimension_stable():
     # the same attractor sampled at the same effective rate must give a
     # compatible dimension estimate whether the integrator stepped at
