@@ -142,7 +142,7 @@ def partition_boxes(cloud: PointCloud, r: float) -> BoxHistogram:
     """
     pts = cloud.points
     lattice = np.empty(pts.shape, dtype=np.int64)
-    counts = _box_counts(pts, _anchor(pts), r, np.empty(pts.shape), lattice)
+    counts = _box_counts(pts, _anchor(pts), r, lattice)
     return BoxHistogram(counts, len(pts), lattice)
 
 
@@ -153,25 +153,22 @@ def _anchor(pts: np.ndarray) -> np.ndarray:
     return np.array([col.min() for col in pts.T])
 
 
-def _box_counts(
-    pts: np.ndarray, anchor: np.ndarray, r: float, scaled: np.ndarray, lattice: np.ndarray
-) -> np.ndarray:
+def _box_counts(pts: np.ndarray, anchor: np.ndarray, r: float, lattice=None) -> np.ndarray:
     """Occupancy counts of the r-box partition anchored at anchor, in
-    lexicographic cell order.  scaled (float64) and lattice (int64), both
-    shaped like pts, are overwritten; lattice ends up holding each
-    point's cell."""
+    lexicographic cell order.  A given lattice, an (N, m) int64 array, is
+    filled with each point's cell."""
     if r <= 0:
         raise ValueError(f"box edge must be positive, got {r}")
-    np.subtract(pts, anchor, out=scaled)
-    scaled /= r
-    cells_per_axis = scaled.max()
+    # rounding is monotone: (max - anchor) / r is an axis's largest scaled value
+    cells_per_axis = max((col.max() - a) / r for col, a in zip(pts.T, anchor))
     if not cells_per_axis < 2.0**63:
         raise ValueError(
             f"box edge {r} is too small for the cloud's spread: "
             f"{cells_per_axis:.3g} boxes per axis overflow the int64 lattice"
         )
-    np.copyto(lattice, scaled, casting="unsafe")  # truncation == floor on >= 0
-    return np.unique(_cell_keys(lattice), return_counts=True)[1]
+    keys = _cell_keys(pts, anchor, r, lattice)
+    keys.sort()  # counted as run lengths, with no copy as np.unique makes
+    return np.diff(np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))))
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -180,25 +177,30 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, len(distinct)
 
 
-def _cell_keys(lattice: np.ndarray) -> np.ndarray:
-    """One int64 key per lattice row, ordered as the rows are
-    lexicographically.
+def _cell_keys(pts: np.ndarray, anchor: np.ndarray, r: float, lattice) -> np.ndarray:
+    """One int64 key per point, ordered as the points' lattice cells are
+    lexicographically; a given lattice is filled with the cells.
 
-    Axes fold in one at a time in mixed radix, the extent of each being
-    its maximum + 1 (the lattice starts at 0).  Where the key space would
+    Axes are scaled and folded in one column at a time (no array shaped
+    like pts is made), in mixed radix, the extent of each being its
+    maximum + 1 (the lattice starts at 0).  Where the key space would
     reach 2**63, the partial key, and then if need be the incoming axis,
     is first replaced by its dense ranks: order is kept and each factor
     drops to at most the row count.
     """
-    keys, space = lattice[:, 0], int(lattice[:, 0].max()) + 1
-    for axis in lattice.T[1:]:
+    keys = space = None
+    for k, (col, a) in enumerate(zip(pts.T, anchor)):
+        axis = ((col - a) / r).astype(np.int64)  # truncation == floor on >= 0
+        if lattice is not None:
+            lattice[:, k] = axis
         extent = int(axis.max()) + 1
-        if space * extent >= _KEY_SPACE:
-            keys, space = _ranks(keys)
-        if space * extent >= _KEY_SPACE:
-            axis, extent = _ranks(axis)
-        keys = np.ravel_multi_index((keys, axis), (space, extent))
-        space *= extent
+        if keys is not None:
+            if space * extent >= _KEY_SPACE:
+                keys, space = _ranks(keys)
+            if space * extent >= _KEY_SPACE:
+                axis, extent = _ranks(axis)
+            axis, extent = np.ravel_multi_index((keys, axis), (space, extent)), space * extent
+        keys, space = axis, extent
     return keys
 
 
@@ -220,15 +222,13 @@ def entropy_scaling(cloud: PointCloud, r_values) -> EntropyScaling:
     to fine) order.
 
     Equal, box size by box size, to ``shannon_entropy(partition_boxes(
-    cloud, r))``; the anchor and the two lattice buffers are made once
-    for the whole ladder.
+    cloud, r))``; the anchor is taken once for the whole ladder, and no
+    lattice is kept.
     """
     pts = cloud.points
     anchor = _anchor(pts)
-    scaled, lattice = np.empty(pts.shape), np.empty(pts.shape, dtype=np.int64)
     entries = tuple(
-        (r, _entropy_bits(_box_counts(pts, anchor, r, scaled, lattice), len(pts)))
-        for r in map(float, r_values)
+        (r, _entropy_bits(_box_counts(pts, anchor, r), len(pts))) for r in map(float, r_values)
     )
     return EntropyScaling(entries=entries, total=len(cloud))
 

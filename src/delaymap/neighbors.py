@@ -177,20 +177,25 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     The mean squared pair distance, pair_sq = 2 mean(sq) over the
     `_centred` rows, gates the scan: its sums stay below 2 n pair_sq, and
     its rounding-slack proof needs 4 n pair_sq finite and positive.  A
-    cloud that fails that (its scale overflows, or it has no spread) takes
-    the tree (`_bulk_nearest`).  Otherwise `_sweep_nearest` runs when
-    `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud it
-    skips or gives up takes the scan (`_dense_nearest`, handed the same c
-    and sq) when it has at most ``_SCAN_PAIRS`` pairs or its contrast
-    reaches ``_SCAN_CONTRAST``, and the tree otherwise.
+    cloud with no spread is answered in closed form; any other that fails
+    that (its scale over- or underflows) takes the tree (`_bulk_nearest`).
+    Otherwise `_sweep_nearest` runs when `_probe` predicts at most
+    ``_SWEEP_PREDICTED`` pairs per row; a cloud it skips or gives up takes
+    the scan (`_dense_nearest`, handed the same c and sq) when it has at
+    most ``_SCAN_PAIRS`` pairs or its contrast reaches ``_SCAN_CONTRAST``,
+    and the tree otherwise.
     """
     n = len(points)
+    spans = [col.max() - col.min() for col in points.T]
+    if not any(spans):  # every pair ties at 0: each row's least index outside its band
+        j = np.where(np.arange(n) > w, 0, np.arange(n) + min(w, n) + 1)
+        return np.where(j < n, j, -1), np.where(j < n, 0.0, np.inf)
     c, sq = _centred(points)
     with np.errstate(over="ignore"):
         pair_sq = 2.0 * float(sq.mean())
     if not 0.0 < 4.0 * n * pair_sq < np.inf:
         return _bulk_nearest(points, w)
-    axis = int(np.argmax([col.max() - col.min() for col in points.T]))  # the widest
+    axis = int(np.argmax(spans))  # the widest
     contrast, predicted = _probe(c, sq, points[:, axis], w, pair_sq)
     if predicted <= _SWEEP_PREDICTED:
         found = _sweep_nearest(points, w, axis, _SWEEP_BUDGET * n)
@@ -224,7 +229,7 @@ def _probe(
     axis examined 1.7-2 times that many pairs per row on every cloud tried.
     """
     n = len(c)
-    rows = np.unique(np.linspace(0, n - 1, _PROBE_ROWS).astype(np.int64))
+    rows = np.array(sorted({*np.linspace(0, n - 1, _PROBE_ROWS).astype(np.int64).tolist()}))
     # squared distances one row at a time to keep temporaries small: a
     # route estimate needs the same value every run, not the exact distance
     nearest, within = np.empty(rows.size), 0
@@ -234,7 +239,7 @@ def _probe(
         nearest[k] = np.sqrt(max(d2.min() + sq[r], 0.0))
         within += np.count_nonzero(np.abs(key - key[r]) <= nearest[k])
     found = np.sort(nearest[np.isfinite(nearest)])
-    # the median by hand: the first np.median call imports numpy.ma (20 ms)
+    # the median and the distinct rows by hand: np.median and np.unique import numpy.ma
     median = (found[(found.size - 1) // 2] + found[found.size // 2]) / 2 if found.size else 0.0
     return float(median) / np.sqrt(pair_sq), within / rows.size
 

@@ -253,7 +253,8 @@ def write_cloud_csv(out: TextIO, cloud: PointCloud, delay: int, axes: tuple[int,
         f"# delaymap embed: delay={delay} dimension={cloud.n} "
         f"count={len(cloud)} axes={','.join(str(a) for a in axes)}\n"
     )
-    write_rows(out, cloud.points[:, list(axes)])
+    for start in range(0, len(cloud), _ROWS_PER_WRITE):  # no copy of the whole cloud
+        write_rows(out, cloud.points[start : start + _ROWS_PER_WRITE, list(axes)])
 
 
 def write_scaling_csv(out: TextIO, scaling: EntropyScaling, dimension: int) -> None:

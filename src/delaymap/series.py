@@ -104,8 +104,8 @@ def load_csv(
 
     Leading missing values are always dropped.
 
-    The text is read in up to three passes; the first that succeeds
-    gives the values:
+    A path is read as one string, a stream as its lines.  The text is
+    parsed in up to three passes; the first that succeeds gives the values:
 
     1. numpy's C reader (``np.loadtxt``) parses the selected column of
        the rows after the header, with no string per cell.  Its number
@@ -135,10 +135,10 @@ def load_csv(
             cell, or fewer than 2 values after the policy.
     """
     check_missing_policy(missing_policy)
-    with text_lines(source) as (name, lines):
-        lines = list(lines)
-    values = _parse_plain(lines, column, skip_header, delimiter, name)
+    name, text, lines = _read(source)
+    values = _parse_plain(text, lines, column, skip_header, delimiter, name)
     if values is None:
+        lines, text = list(lines()), None  # the csv passes read the lines alone
         parsed = _parse_column(lines, column, skip_header, delimiter, name)
         if parsed is None:  # the row scan names the line of a bad cell or row
             parsed = _parse_cells(_scan_cells(lines, column, skip_header, delimiter, name))
@@ -158,22 +158,43 @@ def text_lines(source, error=SeriesLoadError):
     newline=""), less a leading byte-order mark (as spreadsheet "CSV UTF-8"
     exports write).  A source that cannot be opened or read as UTF-8
     raises ``error``, also while the caller iterates."""
+    with _opened(source, error) as (name, fh):
+        yield name, itertools.chain([fh.readline().removeprefix("\ufeff")], fh)
+
+
+@contextmanager
+def _opened(source, error):
+    """Yield (name, open text stream) of a source by text_lines' rules."""
     stream = hasattr(source, "read")
     name = getattr(source, "name", "<stream>") if stream else os.fspath(source)
     try:
         with nullcontext(source) if stream else open(name, newline="", encoding="utf-8") as fh:
-            first = fh.readline().removeprefix("\ufeff")
-            yield name, itertools.chain([first], fh)
+            yield name, fh
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {name}: {exc}") from exc
 
 
-def _parse_plain(lines, column, skip_header, delimiter, name):
+def _read(source):
+    """(name, text, lines): a source's text, and a function that iterates
+    its lines as csv.reader reads the source.  A path is read in one
+    piece, a stream as the lines its own newline rule splits."""
+    if hasattr(source, "read"):
+        with text_lines(source) as (name, lines):
+            lines = list(lines)
+        return name, "".join(lines), lambda: iter(lines)
+    with _opened(source, SeriesLoadError) as (name, fh):
+        text = fh.read().removeprefix("\ufeff")
+    return name, text, lambda: itertools.chain.from_iterable(
+        io.StringIO(s, newline="") for s in _slices(text, 0)  # each ends a line
+    )
+
+
+def _parse_plain(text, lines, column, skip_header, delimiter, name):
     """The selected column as parsed by numpy's C reader, or None for
     text that reader could read otherwise than the csv rules, or cannot
     read.  The header and column come from the first data row, split by
-    csv.reader as in the other passes."""
-    reader = csv.reader(lines, delimiter=delimiter)
+    csv.reader from ``lines()`` as in the other passes."""
+    reader = csv.reader(lines(), delimiter=delimiter)
     try:
         first = next(filter(_is_data_row, reader), None)
         if first is None:
@@ -181,8 +202,8 @@ def _parse_plain(lines, column, skip_header, delimiter, name):
         col_idx, header_rows = _resolve_column(first, column, skip_header, name)
     except (csv.Error, SeriesLoadError, ValueError):
         return None
-    body = lines[reader.line_num - 1 + header_rows:]
-    text = "".join(body)
+    start = sum(map(len, itertools.islice(lines(), reader.line_num - 1 + header_rows)))
+    limit = csv.field_size_limit()
     # numpy refuses a line-end or '#' delimiter, ignores quotes, strips a
     # '#' comment anywhere in a line and has no field size limit.  It
     # refuses a bare '\r' inside a line and an "NA" cell itself, but only
@@ -191,13 +212,17 @@ def _parse_plain(lines, column, skip_header, delimiter, name):
     # its first character is found, and "NA" from the first "N" on.
     if (
         delimiter in "\r\n#"
-        or '"' in text
-        or "\r" in text and text.count("\r") != text.count("\r\n")
-        or "#" in text and text.count("#") != text.count("\n#") + text.startswith("#")
-        or (first_n := text.find("N")) >= 0 and text.find("NA", first_n) >= 0
-        or max(map(len, body), default=0) > csv.field_size_limit()
+        or text.find('"', start) >= 0
+        or text.find("\r", start) >= 0
+        and text.count("\r", start) != text.count("\r\n", start)
+        or text.find("#", start) >= 0
+        and text.count("#", start) != text.count("\n#", start) + text.startswith("#", start)
+        or (first_n := text.find("N", start)) >= 0 and text.find("NA", first_n) >= 0
+        or any(len(s) > limit for s in _slices(text, start, min(limit, 1 << 16)))
     ):
         return None
+    # no bare '\r' is left, so lines end at each '\n'; split a slice at a time
+    body = itertools.chain.from_iterable(s.split("\n") for s in _slices(text, start))
     try:
         with warnings.catch_warnings():
             # a body of only comments: "input contained no data"
@@ -211,6 +236,15 @@ def _parse_plain(lines, column, skip_header, delimiter, name):
     if values.size == 0 or not np.isfinite(values).all():
         return None
     return values
+
+
+def _slices(text, start, size=1 << 16):
+    """text[start:] in slices that end at a '\n', so at a line end, or at
+    the end of text: at most size characters, or else one whole line."""
+    while start < len(text):
+        end = text.rfind("\n", start, start + size) + 1 or text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _parse_column(lines, column, skip_header, delimiter, name):

@@ -241,10 +241,24 @@ def test_ladder_memory_is_bounded_by_the_cloud_not_the_ladder():
             peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # two lattice buffers, then the keys and np.unique's sorted copy
-    assert peaks[16] <= 5 * pts.points.nbytes
+    # one lattice column and its float source at a time, the keys, the
+    # folded keys, then the run lengths of the keys sorted in place
+    assert peaks[16] <= 2.5 * pts.points.nbytes
     # 48 more (r, S) entries are all that a longer ladder may add
     assert peaks[64] - peaks[16] <= 16 * 1024
+
+
+def test_partition_memory_is_its_lattice_and_a_few_columns():
+    pts = cloud_from_points(np.random.default_rng(41).normal(size=(20000, 3)))
+    tracemalloc.start()
+    try:
+        hist = partition_boxes(pts, default_r_ladder(8.0)[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hist.counts) > len(pts) // 2  # most points sit in a box of their own
+    # the lattice it returns is 1x the cloud; no float copy of the cloud is made
+    assert peak <= 2.5 * pts.points.nbytes
 
 
 def test_single_point_scaling_is_flat_zero():

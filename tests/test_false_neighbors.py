@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,20 @@ def test_pipeline_on_henon_above_the_size_gate_leaves_scipy_spatial_unloaded(tmp
         capture_output=True, text=True, timeout=120,
     )
     assert out.stderr.strip() == "False"
+    assert (tmp_path / "out" / "fnn_curve.csv").is_file()
+
+
+def test_pipeline_on_henon_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique with no return flag and np.median import numpy.ma on first use
+    path = tmp_path / "henon.csv"
+    path.write_text("\n".join(map(repr, henon(10000).values.tolist())) + "\n")
+    code = (
+        "import sys; from delaymap import cli;"
+        f" cli.main(['pipeline', {str(path)!r}, '--fixed-delay', '1',"
+        f" '--output-dir', {str(tmp_path / 'out')!r}]);"
+        " print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh_python(code).splitlines()[-1] == "False"
     assert (tmp_path / "out" / "fnn_curve.csv").is_file()
 
 
@@ -619,13 +634,42 @@ def test_cloud_too_large_in_scale_for_the_scan_keeps_the_tree(searches):
     assert dist.tolist() == [d for _, d in ref]
 
 
-def test_cloud_without_spread_keeps_the_tree(searches):
-    # pair_sq is 0, so the scan's gate fails; the 299 tied points stay few
-    # enough that the tree's escalation through them is cheap
+def test_cloud_without_spread_is_answered_with_no_search(searches):
+    # every pair ties at distance 0, so each row's answer is known
     trees, taken = searches
     entry = fnn_fraction(series(*[0.0] * 299, 1.0), 1, 1)
     assert entry == FnnEntry(1, 1 / 299, 299, 1)
-    assert taken == ["tree"] and len(trees) == 1
+    assert taken == [] and not trees
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_cloud_without_spread_matches_the_scan(m, searches):
+    # 1.1 does not centre to exactly 0, and -0.0 spans 0 against 0.0
+    trees, taken = searches
+    for n in (2, 3, 7, 40):
+        for value in (0.0, 1.1, -0.0):
+            pts = np.full((n, m), value)
+            pts[::3] = abs(value)
+            for w in (0, 1, 5, n - 2, n - 1, n, 100):
+                idx, dist = neighbors._nearest(pts, w)
+                ref = [nn_scan(pts, t, w) for t in range(n)]
+                assert idx.tolist() == [i for i, _ in ref]
+                assert dist.tolist() == [d for _, d in ref]
+                assert idx.dtype == np.int64
+    assert taken == [] and not trees
+
+
+def test_cloud_without_spread_takes_memory_linear_in_its_size():
+    # a tree would retrieve every tied row for every row: 525 MB at n = 4 000
+    ts = series(*[0.0] * 4000, 1.0)
+    tracemalloc.start()
+    try:
+        entry = fnn_fraction(ts, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry == FnnEntry(1, 1 / 4000, 4000, 1)
+    assert peak < 1 << 20
 
 
 def _assert_sweep_exact(pts, w, budget=None, axis=0):

@@ -13,6 +13,8 @@ agree, whichever pass read the text.
 """
 
 import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +189,49 @@ def test_common_text_takes_the_numpy_pass(tmp_path, monkeypatch, write, kwargs):
     assert load_csv(path, **kwargs).values.tolist() == values
 
 
+def test_long_text_takes_the_numpy_pass_a_slice_at_a_time(tmp_path, monkeypatch):
+    # a header, CRLF line ends and far more text than one slice or the
+    # csv field size limit; no line is long
+    def refuse(*args):
+        raise AssertionError("csv pass used on text numpy's reader can read")
+
+    monkeypatch.setattr("delaymap.series._parse_column", refuse)
+    monkeypatch.setattr("delaymap.series._scan_cells", refuse)
+    values = lorenz(30000).values.tolist()
+    path = tmp_path / "long.csv"
+    path.write_bytes(
+        ("# a comment\r\nt,x\r\n" + "".join(f"{t},{v!r}\r\n" for t, v in enumerate(values)))
+        .encode("utf-8")
+    )
+    assert path.stat().st_size > 4 * 131072
+    assert load_csv(path, column="x").values.tolist() == values
+
+
+def test_a_path_that_is_not_utf8_names_the_bad_byte_by_its_file_offset(tmp_path):
+    # read in one piece, a path's decode error counts bytes from the start
+    # of the file, not from the start of an 8 KiB chunk
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.0\n" * 5000 + b"\xff\n2\n")
+    expected = f"^cannot read {re.escape(str(path))}: .* position 20000: "
+    with pytest.raises(SeriesLoadError, match=expected):
+        load_csv(path)
+
+
+def test_a_path_is_held_about_once_while_it_loads(tmp_path):
+    path = tmp_path / "lorenz.csv"
+    assert main(["synth", "--kind", "lorenz", "-n", "80000", "--output", str(path)]) == 0
+    tracemalloc.start()
+    try:
+        series = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 80000
+    # the text, numpy's values and the series' copy; a str per line would
+    # take about 4x the file on their own
+    assert peak <= 2.5 * path.stat().st_size
+
+
 @pytest.mark.parametrize("kind", SOURCES)
 @pytest.mark.parametrize(
     "text, kwargs",
@@ -355,6 +400,20 @@ def test_cloud_writer_is_byte_identical_to_per_value_repr():
     out = io.StringIO()
     write_cloud_csv(out, embedded, 17, (0, 1, 2))
     assert out.getvalue() == _cloud_text_by_value(embedded, 17, (0, 1, 2))
+
+
+def test_cloud_writer_copies_no_column_of_the_whole_cloud(tmp_path):
+    cloud = delay_embed(lorenz(80000), EmbeddingParams(17, 3))
+    with open(tmp_path / "cloud.csv", "w", encoding="utf-8", newline="") as out:
+        tracemalloc.start()
+        try:
+            write_cloud_csv(out, cloud, 17, (2, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one slab of rows and its text at a time; a copy of the picked axes
+    # alone would be 1x the cloud
+    assert peak < cloud.points.nbytes
 
 
 @pytest.mark.parametrize("kind", GENERATORS)
