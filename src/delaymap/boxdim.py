@@ -83,8 +83,8 @@ class EntropyScaling:
         if not self.entries:
             raise ValueError("scaling curve needs at least one entry")
         rs = [r for r, _ in self.entries]
-        if any(r <= 0 for r in rs):
-            raise ValueError("box sizes must be positive")
+        if not all(0 < r < math.inf for r in rs):  # false for nan too
+            raise ValueError("box edge must be finite and positive")
         if any(b >= a for a, b in zip(rs, rs[1:])):
             raise ValueError("box sizes must be strictly decreasing")
         for _, s in self.entries:
@@ -157,8 +157,8 @@ def _box_counts(pts: np.ndarray, anchor: np.ndarray, r: float, lattice=None) -> 
     """Occupancy counts of the r-box partition anchored at anchor, in
     lexicographic cell order.  A given lattice, an (N, m) int64 array, is
     filled with each point's cell."""
-    if r <= 0:
-        raise ValueError(f"box edge must be positive, got {r}")
+    if not 0 < r < math.inf:  # false for nan too
+        raise ValueError(f"box edge must be finite and positive, got {r}")
     # rounding is monotone: (max - anchor) / r is an axis's largest scaled value
     cells_per_axis = max((col.max() - a) / r for col, a in zip(pts.T, anchor))
     if not cells_per_axis < 2.0**63:

@@ -17,9 +17,8 @@ class SeriesLoadError(DelayMapError):
 
 class DegenerateSeriesError(DelayMapError):
     """The series is constant (zero range), so histogram binning and
-    neighbor statistics are undefined; or its range is so large that
-    squared distances between embedded points overflow float64, so no
-    neighbor distance can be computed."""
+    neighbor statistics are undefined; or its range (max - min) overflows
+    float64, so no neighbor distance can be computed."""
 
 
 class NoAdmissibleNeighborError(DelayMapError):

@@ -33,8 +33,12 @@ high-m embedding of a noise-like record the nearest distance approaches
 the typical pair distance (Beyer et al., "When is 'nearest neighbor'
 meaningful?", 1999) and the tree ends up visiting nearly every pair.
 The probe's contrast, the median nearest distance over the RMS pair
-distance, measures that.  Every other cloud goes to the tree, and so
-does a cloud whose scale could overflow the scan's sums.
+distance, measures that.  Every other cloud goes to the tree.
+
+The search runs on the record scaled by 2^-e, where 2^e bounds the span
+of the cloud's widest axis: a power-of-two scale is exact, so a record
+in any unit gives the same distances, ties, ratios and routes, and the
+scan's sums neither over- nor underflow.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingParams, delay_embed
+from .embedding import EmbeddingParams
 from .errors import DegenerateSeriesError, NoAdmissibleNeighborError
 from .series import TimeSeries, stats
 
@@ -174,13 +178,11 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point of a cloud of at least 2
     points, by the first route that serves it (see the module docstring).
 
-    The mean squared pair distance, pair_sq = 2 mean(sq) over the
-    `_centred` rows, gates the scan: its sums stay below 2 n pair_sq, and
-    its rounding-slack proof needs 4 n pair_sq finite and positive.  A
-    cloud with no spread is answered in closed form; any other that fails
-    that (its scale over- or underflows) takes the tree (`_bulk_nearest`).
-    Otherwise `_sweep_nearest` runs when `_probe` predicts at most
-    ``_SWEEP_PREDICTED`` pairs per row; a cloud it skips or gives up takes
+    `fnn_fraction` scales the cloud so that its widest axis spans [0.5, 1):
+    the scan's sums then neither over- nor underflow.  A cloud with no
+    spread is answered in closed form.  Otherwise `_sweep_nearest` runs when
+    `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud
+    it skips or gives up takes
     the scan (`_dense_nearest`, handed the same c and sq) when it has at
     most ``_SCAN_PAIRS`` pairs or its contrast reaches ``_SCAN_CONTRAST``,
     and the tree otherwise.
@@ -191,12 +193,8 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
         j = np.where(np.arange(n) > w, 0, np.arange(n) + min(w, n) + 1)
         return np.where(j < n, j, -1), np.where(j < n, 0.0, np.inf)
     c, sq = _centred(points)
-    with np.errstate(over="ignore"):
-        pair_sq = 2.0 * float(sq.mean())
-    if not 0.0 < 4.0 * n * pair_sq < np.inf:
-        return _bulk_nearest(points, w)
     axis = int(np.argmax(spans))  # the widest
-    contrast, predicted = _probe(c, sq, points[:, axis], w, pair_sq)
+    contrast, predicted = _probe(c, sq, points[:, axis], w)
     if predicted <= _SWEEP_PREDICTED:
         found = _sweep_nearest(points, w, axis, _SWEEP_BUDGET * n)
         if found is not None:
@@ -207,22 +205,18 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _centred(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cloud less its mean, c, and each row's squared norm sq = c_i.c_i.
-    A cloud too large in scale gives inf or nan there, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # column by column: an axis-0 mean over a narrow array is far slower
-        c = points - np.array([col.mean() for col in points.T])
-        return c, np.einsum("ij,ij->i", c, c)
+    """The cloud less its mean, c, and each row's squared norm sq = c_i.c_i."""
+    # column by column: an axis-0 mean over a narrow array is far slower
+    c = points - np.array([col.mean() for col in points.T])
+    return c, np.einsum("ij,ij->i", c, c)
 
 
-def _probe(
-    c: np.ndarray, sq: np.ndarray, key: np.ndarray, w: int, pair_sq: float
-) -> tuple[float, float]:
+def _probe(c: np.ndarray, sq: np.ndarray, key: np.ndarray, w: int) -> tuple[float, float]:
     """(contrast, predicted sweep pairs per row) from the admissible nearest
     distances of ``_PROBE_ROWS`` evenly spaced rows, by brute force over the
     `_centred` cloud (c, sq).
 
-    The contrast is their median over the RMS pair distance sqrt(pair_sq),
+    The contrast is their median over the RMS pair distance sqrt(2 mean(sq)),
     or 0 (keep the tree) when no probe row has an admissible neighbor.  The
     prediction is the mean count of points whose ``key`` coordinate lies
     within a probe row's nearest distance of its own; the sweep along that
@@ -241,7 +235,7 @@ def _probe(
     found = np.sort(nearest[np.isfinite(nearest)])
     # the median and the distinct rows by hand: np.median and np.unique import numpy.ma
     median = (found[(found.size - 1) // 2] + found[found.size // 2]) / 2 if found.size else 0.0
-    return float(median) / np.sqrt(pair_sq), within / rows.size
+    return float(median) / np.sqrt(2.0 * float(sq.mean())), within / rows.size
 
 
 def _sweep_nearest(
@@ -453,28 +447,32 @@ def fnn_fraction(
     Raises:
         ValueError: m or delay is below 1 (from EmbeddingParams), checked
             before the data.
-        DegenerateSeriesError: the series is constant, or m * range^2
-            overflows float64, so no squared distance can be computed.
+        DegenerateSeriesError: the series is constant, or its range
+            overflows float64, so no distance can be computed.
     """
-    embedding = EmbeddingParams(delay, m)
+    EmbeddingParams(delay, m)  # checks m and delay before the data
     n = len(series)
     span = stats(series).value_range  # a Python float overflows to inf silently
     if span == 0.0:
         raise DegenerateSeriesError("constant series has no neighbor structure")
-    # the largest squared distance in m coordinates is m * range^2
-    if not np.isfinite(m * span * span):
-        raise DegenerateSeriesError(
-            f"squared distances overflow float64 at m={m}: the series range "
-            f"{span:.3g} is too large for them; rescale the series"
-        )
+    if span == np.inf:
+        raise DegenerateSeriesError("the series range overflows float64; rescale the series")
     w = params.window(delay)
-    cloud = delay_embed(series, embedding)
     limit = n - m * delay
     if limit < 2:
         raise ValueError(
             f"no testable points: need t + {m}*{delay} < {n} for at least 2 points"
         )
-    nn_idx, nn_dist = _nearest(np.ascontiguousarray(cloud.points[:limit]), w)
+    vals = series.values
+    # the cloud scaled by 2^-e (module docstring).  A column with no spread adds 0
+    # to every distance; written as 0, it cannot overflow where columns share no sample
+    cols = [vals[k * delay : k * delay + limit] for k in range(m)]
+    spans = [col.max() - col.min() for col in cols]
+    e = int(np.frexp(max(spans))[1])
+    points = np.empty((limit, m))
+    for k, (col, col_span) in enumerate(zip(cols, spans)):
+        np.ldexp(col if col_span else 0.0, -e, out=points[:, k])
+    nn_idx, nn_dist = _nearest(points, w)
 
     sel = np.flatnonzero(nn_idx >= 0)
     if sel.size == 0:
@@ -483,14 +481,15 @@ def fnn_fraction(
         )
     nbr = nn_idx[sel]
     dist = nn_dist[sel]
-    vals = series.values
+    # taken unscaled, so an outlier past the cloud cannot give inf - inf
     numer = np.abs(vals[sel + m * delay] - vals[nbr + m * delay])
     false_mask = np.empty(sel.size, dtype=bool)
     zero = dist == 0.0
     false_mask[zero] = numer[zero] > 0.0
-    false_mask[~zero] = (numer[~zero] / dist[~zero]) > params.r_tol
+    with np.errstate(over="ignore"):  # a ratio past float64 is inf: false, as it should be
+        false_mask[~zero] = (np.ldexp(numer[~zero], -e) / dist[~zero]) > params.r_tol
     tested = int(sel.size)
-    skipped = len(cloud) - tested
+    skipped = n - (m - 1) * delay - tested
     return FnnEntry(m, int(np.count_nonzero(false_mask)) / tested, tested, skipped)
 
 

@@ -119,8 +119,8 @@ def load_csv(
     2. ``csv.reader`` splits the rows and the selected column is parsed
        by one ``np.array(cells, dtype=float)``; this pass serves quoted
        and missing cells.
-    3. Should that fail too, a row scan reads the text again and raises
-       the error, naming the offending line.
+    3. Should that fail too, the text holds a fault: a row scan reads it
+       again and raises the error, naming the offending line.
 
     Args:
         source: path, or an open text stream.
@@ -140,8 +140,8 @@ def load_csv(
     if values is None:
         lines, text = list(lines()), None  # the csv passes read the lines alone
         parsed = _parse_column(lines, column, skip_header, delimiter, name)
-        if parsed is None:  # the row scan names the line of a bad cell or row
-            parsed = _parse_cells(_scan_cells(lines, column, skip_header, delimiter, name))
+        if parsed is None:  # the row scan raises, naming the line of a bad cell or row
+            _scan_cells(lines, column, skip_header, delimiter, name)
         values = _apply_missing_policy(*parsed, missing_policy)
     if len(values) < 2:
         raise SeriesLoadError(
@@ -164,13 +164,20 @@ def text_lines(source, error=SeriesLoadError):
 
 @contextmanager
 def _opened(source, error):
-    """Yield (name, open text stream) of a source by text_lines' rules."""
+    """Yield (name, open text stream) of a source by text_lines' rules.
+    A path's decode error names the bad byte by its offset in the file."""
     stream = hasattr(source, "read")
     name = getattr(source, "name", "<stream>") if stream else os.fspath(source)
     try:
         with nullcontext(source) if stream else open(name, newline="", encoding="utf-8") as fh:
             yield name, fh
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError) and not stream:
+            try:  # the text layer counts from its 8 KiB chunk, as a stream's error still does
+                with open(name, "rb") as raw:
+                    raw.read().decode("utf-8")
+            except (OSError, UnicodeDecodeError) as whole:
+                exc = whole
         raise error(f"cannot read {name}: {exc}") from exc
 
 
@@ -248,8 +255,9 @@ def _slices(text, start, size=1 << 16):
 
 
 def _parse_column(lines, column, skip_header, delimiter, name):
-    """_parse_cells of the selected column's stripped cells, or None on
-    any fault, which the row scan then reports in its own order."""
+    """(values of the selected column's present cells, missing mask), the
+    cells parsed by one ``np.array``, or None on any fault, which the row
+    scan then reports in its own order."""
     # rows are filtered and reduced to one cell on the fly, so no list of
     # rows is ever held
     rows = filter(_is_data_row, csv.reader(lines, delimiter=delimiter))
@@ -259,19 +267,22 @@ def _parse_column(lines, column, skip_header, delimiter, name):
             return None
         col_idx, header_rows = _resolve_column(first, column, skip_header, name)
         cells = [row[col_idx].strip() for row in itertools.chain([first][header_rows:], rows)]
+        missing = np.array([c in MISSING_MARKERS for c in cells], dtype=bool)
+        present = [c for c in cells if c not in MISSING_MARKERS] if missing.any() else cells
+        values = np.array(present, dtype=np.float64)
     except (csv.Error, SeriesLoadError, IndexError, ValueError):
         return None
-    return _parse_cells(cells)
+    return (values, missing) if np.isfinite(values).all() else None
 
 
 def _scan_cells(lines, column, skip_header, delimiter, name):
-    """Row scan through csv.reader: the stripped cells of the selected
-    column, each checked, so that an error names its line."""
+    """Row scan through csv.reader that raises the error of the first bad
+    row or cell, naming its line.  `_parse_column` refuses only a fault
+    raised here (numpy parses a cell with ``float()``, as this scan does)."""
     rows = _read_rows(lines, delimiter, name)
     if not rows:
         raise SeriesLoadError(f"{name}: no data rows")
     col_idx, header_rows = _resolve_column(rows[0][1], column, skip_header, name)
-    cells = []
     for lineno, row in rows[header_rows:]:
         if col_idx >= len(row):
             raise SeriesLoadError(f"{name}:{lineno}: row has no column {col_idx}")
@@ -283,8 +294,6 @@ def _scan_cells(lines, column, skip_header, delimiter, name):
                 raise SeriesLoadError(f"{name}:{lineno}: non-numeric cell {cell!r}") from exc
             if not math.isfinite(value):
                 raise SeriesLoadError(f"{name}:{lineno}: non-finite value {cell!r}")
-        cells.append(cell)
-    return cells
 
 
 def _read_rows(lines, delimiter, name):
@@ -334,20 +343,6 @@ def check_column(column: int | str) -> None:
     """Raise ValueError if ``column`` is a negative index."""
     if not isinstance(column, str) and int(column) < 0:
         raise ValueError("column index must be nonnegative")
-
-
-def _parse_cells(cells):
-    """(values of the present cells, missing mask) in one numpy parse, or
-    None if a present cell is not a finite number."""
-    missing = np.array([c in MISSING_MARKERS for c in cells], dtype=bool)
-    present = [c for c in cells if c not in MISSING_MARKERS] if missing.any() else cells
-    try:
-        values = np.array(present, dtype=np.float64)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values, missing
 
 
 def check_missing_policy(policy: str) -> None:

@@ -401,6 +401,9 @@ def test_entropy_box_edge_below_the_lattice_range_exits_1(tmp_path, capsys):
     code = main(["entropy", str(cloud), "--r-values", "1e-25"])
     assert code == 1
     assert "int64" in capsys.readouterr().err
+    for edges in ("inf,0.1,0.01", "0.5,nan"):
+        assert main(["entropy", str(cloud), "--r-values", edges]) == 1
+        assert "box edge must be finite and positive" in capsys.readouterr().err
     # default ladders whose divisors cannot give box edges
     for flags in (["--r-coarse-div", "0"], ["--r-fine-div", "0"], ["--r-coarse-div", "-4"],
                   ["--r-fine-div", "nan"], ["--r-coarse-div", "1024"]):
@@ -508,14 +511,26 @@ def test_pipeline_cli_exit_codes(tmp_path):
     ) == 6
 
 
-def test_pipeline_names_a_float64_overflow_of_the_distances(tmp_path, capsys):
-    path = write_series(tmp_path / "huge.csv", henon(500).values * 1e160)
+def test_pipeline_on_a_record_scaled_past_float64_squares_writes_the_same_fnn_curve(tmp_path):
+    values = henon(500).values
+    runs = {}
+    for name, scaled in (("plain", values), ("huge", np.ldexp(values, 530))):
+        path = write_series(tmp_path / f"{name}.csv", scaled)
+        out = tmp_path / name
+        assert main(["pipeline", path, "--output-dir", str(out), "--fixed-delay", "1"]) == 0
+        runs[name] = (out / "fnn_curve.csv").read_bytes()
+    assert runs["huge"] == runs["plain"]
+
+
+def test_pipeline_names_a_series_range_that_overflows_float64(tmp_path, capsys):
+    values = np.where(henon(500).values > 0, 1.7e308, -1.7e308)
+    path = write_series(tmp_path / "huge.csv", values)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["pipeline", path, "--output-dir", str(tmp_path / "o"), "--fixed-delay", "1"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error in stage 'dimension': squared distances overflow float64")
+    assert err.startswith("error in stage 'dimension': the series range overflows float64")
     assert "theiler" not in err
     assert "RuntimeWarning" not in err and not caught
 

@@ -69,6 +69,9 @@ def test_box_edge_that_overflows_the_lattice_is_rejected():
     segment = cloud_from_points(np.linspace(0.0, 1.0, 1000)[:, None])
     with pytest.raises(ValueError, match="int64"):
         partition_boxes(segment, 1e-25)
+    for edge in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="box edge must be finite and positive"):
+            partition_boxes(segment, edge)
     # an edge just inside the int64 range still resolves every point
     fine = partition_boxes(segment, 2.0**-62)
     assert shannon_entropy(fine) == pytest.approx(math.log2(1000), abs=1e-12)
@@ -346,6 +349,9 @@ def test_scaling_validation():
         EntropyScaling(((0.5, 1.0), (0.5, 2.0)))  # not strictly decreasing
     with pytest.raises(ValueError):
         EntropyScaling(((0.5, -0.1),))
+    for edge in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="box edge must be finite and positive"):
+            EntropyScaling(((edge, 0.0),))
     with pytest.raises(ValueError):
         EntropyScaling(((0.5, 3.0),), total=4)  # S > log2(total)
 

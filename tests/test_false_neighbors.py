@@ -341,11 +341,43 @@ def test_fraction_scale_invariance():
     rng = np.random.default_rng(71)
     v = rng.normal(size=250)
     base = [fnn_fraction(TimeSeries(v), 2, m) for m in (1, 2, 3)]
-    doubled = [fnn_fraction(TimeSeries(2.0 * v), 2, m) for m in (1, 2, 3)]
     generic = [fnn_fraction(TimeSeries(3.7 * v), 2, m) for m in (1, 2, 3)]
-    for b, d, g in zip(base, doubled, generic):
-        assert b.fraction == d.fraction  # power-of-two scaling is exact
+    for b, g in zip(base, generic):
         assert abs(b.fraction - g.fraction) <= 1e-12
+    for k in (1, 530, -530, 1000, -1000):  # power-of-two scaling is exact
+        assert [fnn_fraction(TimeSeries(np.ldexp(v, k)), 2, m) for m in (1, 2, 3)] == base
+    # the last sample lies past every cloud, so each cloud spreads 2^-600 of
+    # the record's range; scaled, the pair it ends stays false
+    h = henon(3000).values
+    tiny = TimeSeries(np.append(np.ldexp(h, -600), 1.0))
+    plain = TimeSeries(np.append(h, 1e3))
+    assert [fnn_fraction(tiny, 1, m) for m in (1, 2, 3)] == [
+        fnn_fraction(plain, 1, m) for m in (1, 2, 3)
+    ]
+    # a column with no spread where the columns share no sample: its value,
+    # far past the other column's scale, adds 0 to every distance
+    far = np.concatenate((np.full(6, 1e300), np.ldexp(v[:12], -1000)))
+    near = np.concatenate((np.zeros(6), v[:12]))
+    no_band = FnnParams(theiler_window=0)
+    assert fnn_fraction(TimeSeries(far), 6, 2, no_band) == fnn_fraction(
+        TimeSeries(near), 6, 2, no_band
+    )
+
+
+@pytest.mark.parametrize(
+    "ts, delay",
+    [(henon(3000), 1), (lorenz(3000), 18), (white_noise(3000, 7), 1)],
+    ids=["henon", "lorenz-T18", "noise"],
+)
+def test_scaled_record_takes_the_same_routes_to_the_same_curve(ts, delay, searches):
+    # unscaled, Henon at 2^-510 took the sweep, then the scan, and 40 s
+    trees, taken = searches
+    base = embedding_dimension(ts, delay)
+    routes = list(taken)
+    for k in (-510, -530, -1000, 510, 530, 1000):
+        del taken[:]
+        assert embedding_dimension(TimeSeries(np.ldexp(ts.values, k)), delay) == base
+        assert taken == routes
 
 
 def test_embedding_dimension_selects_first_crossing():
@@ -622,16 +654,6 @@ def test_lorenz_above_the_size_gate_still_builds_a_tree(searches):
     entry = fnn_fraction(lorenz(6000), 17, 3)  # 5 949 points
     assert taken == ["tree"] and len(trees) == 1
     assert entry.tested_points == 5949
-
-
-def test_cloud_too_large_in_scale_for_the_scan_keeps_the_tree(searches):
-    trees, taken = searches
-    pts = np.random.default_rng(152).normal(size=(300, 3)) * 3e152  # 4 n pair_sq overflows
-    idx, dist = neighbors._nearest(pts, 1)
-    assert taken == ["tree"] and len(trees) == 1
-    ref = [nn_scan(pts, t, 1) for t in range(len(pts))]
-    assert idx.tolist() == [i for i, _ in ref]
-    assert dist.tolist() == [d for _, d in ref]
 
 
 def test_cloud_without_spread_is_answered_with_no_search(searches):

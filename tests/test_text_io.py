@@ -207,14 +207,22 @@ def test_long_text_takes_the_numpy_pass_a_slice_at_a_time(tmp_path, monkeypatch)
     assert load_csv(path, column="x").values.tolist() == values
 
 
-def test_a_path_that_is_not_utf8_names_the_bad_byte_by_its_file_offset(tmp_path):
-    # read in one piece, a path's decode error counts bytes from the start
-    # of the file, not from the start of an 8 KiB chunk
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["ami"], 3), (["entropy"], 3), (["dimension"], 3), (["pipeline", "--config"], 1)],
+    ids=["series", "cloud", "scaling", "config"],
+)
+def test_a_path_that_is_not_utf8_names_the_bad_byte_by_its_file_offset(
+    tmp_path, capsys, argv, code
+):
+    # the text layer decodes 8 KiB chunks; the error counts bytes from the
+    # start of the file, not of the chunk.  Comment lines reach the bad byte
+    # in every reader.
     path = tmp_path / "bad.csv"
-    path.write_bytes(b"1.0\n" * 5000 + b"\xff\n2\n")
-    expected = f"^cannot read {re.escape(str(path))}: .* position 20000: "
-    with pytest.raises(SeriesLoadError, match=expected):
-        load_csv(path)
+    path.write_bytes(b"#00\n" * 5000 + b"\xff\n2\n")
+    assert main(argv + [str(path)]) == code
+    expected = f"cannot read {re.escape(str(path))}: .* position 20000: "
+    assert re.search(expected, capsys.readouterr().err)
 
 
 def test_a_path_is_held_about_once_while_it_loads(tmp_path):
