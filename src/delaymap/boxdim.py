@@ -159,8 +159,8 @@ def _box_counts(pts: np.ndarray, anchor: np.ndarray, r: float, lattice=None) -> 
     filled with each point's cell."""
     if not 0 < r < math.inf:  # false for nan too
         raise ValueError(f"box edge must be finite and positive, got {r}")
-    # rounding is monotone: (max - anchor) / r is an axis's largest scaled value
-    cells_per_axis = max((col.max() - a) / r for col, a in zip(pts.T, anchor))
+    # the largest scaled value (rounding is monotone); Python floats overflow to inf silently
+    cells_per_axis = max(float(col.max()) - float(a) for col, a in zip(pts.T, anchor)) / float(r)
     if not cells_per_axis < 2.0**63:
         raise ValueError(
             f"box edge {r} is too small for the cloud's spread: "

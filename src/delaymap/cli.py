@@ -25,10 +25,11 @@ from contextlib import contextmanager
 from dataclasses import fields
 from typing import get_args, get_origin
 
-# The neighbour search caps every matrix product (neighbors._SCAN_PRODUCT)
-# so that OpenBLAS runs it on one thread, yet OpenBLAS would still start a
-# worker thread that spins idle for the whole process.  numpy's and scipy's
-# bundled OpenBLAS read this when they load; a value the caller set wins.
+# The neighbour scan keeps each band's product within neighbors._SCAN_PRODUCT,
+# which OpenBLAS runs on one thread; a one-row band past it took as much CPU as
+# wall time with two threads (white noise, n = 20 000, m = 16).  OpenBLAS would
+# still start a worker thread that spins idle for the whole process.  numpy's and
+# scipy's bundled OpenBLAS read this when they load; a value the caller set wins.
 # Only the command sets it: importing the library leaves os.environ alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -58,7 +59,7 @@ from .pipeline import (
     write_rows,
     write_scaling_csv,
 )
-from .series import MISSING_POLICIES, _read_rows, load_csv, text_lines
+from .series import MISSING_POLICIES, SeriesStats, _read_rows, load_csv, text_lines
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -249,8 +250,10 @@ def _cmd_entropy(args, parser):
     cloud = _load_cloud(args.input)
     ladder = args.r_values
     if ladder is None:
-        # column by column: an axis-0 ptp over a narrow cloud is far slower
-        spread = max(float(np.ptp(col)) for col in cloud.points.T)
+        # per column (an axis-0 reduction is far slower), and an overflow refused by name
+        spread = max(
+            SeriesStats(float(col.min()), float(col.max())).value_range for col in cloud.points.T
+        )
         if spread <= 0.0:
             raise DelayMapError("cloud has zero spread on every axis; pass --r-values")
         ladder = default_r_ladder(

@@ -18,7 +18,7 @@ class SeriesLoadError(DelayMapError):
 class DegenerateSeriesError(DelayMapError):
     """The series is constant (zero range), so histogram binning and
     neighbor statistics are undefined; or its range (max - min) overflows
-    float64, so no neighbor distance can be computed."""
+    float64, so no bin width, neighbor distance or box edge can be computed."""
 
 
 class NoAdmissibleNeighborError(DelayMapError):

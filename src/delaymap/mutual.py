@@ -116,7 +116,7 @@ def joint_histogram(series: TimeSeries, lag: int, bins: int = DEFAULT_BINS) -> J
     """Count pairs (x_t, x_{t+lag}) on an equal-width grid.
 
     Args:
-        series: observation record, must not be constant.
+        series: observation record, neither constant nor with a range past float64.
         lag: delay in samples, 1 <= lag <= N - 2.
         bins: intervals per axis (j >= 2), default 16.
 
@@ -133,19 +133,19 @@ def _binned(series: TimeSeries, bins: int) -> np.ndarray:
     """Bin index of every sample on the equal-width grid."""
     check_bins(bins)
     st = stats(series)
-    lo, hi = st.x_min, st.x_max
-    if hi == lo:
+    span = st.value_range
+    if span == 0.0:
         raise DegenerateSeriesError(
             "constant series: zero value range, histogram binning undefined"
         )
-    width = (hi - lo) / bins
-    if width <= 0.0 or not np.isfinite(width):
+    width = span / bins
+    if width <= 0.0:
         raise DegenerateSeriesError(
-            f"value range {hi - lo!r} cannot be split into {bins} usable bins"
+            f"value range {span!r} cannot be split into {bins} usable bins"
         )
     # bin = min(floor((v - lo)/width), bins-1): right edge closed on the
     # last bin only, and float round-up at the top edge is clamped back in.
-    idx = np.floor((series.values - lo) / width).astype(np.int64)
+    idx = np.floor((series.values - st.x_min) / width).astype(np.int64)
     return np.minimum(idx, bins - 1)
 
 

@@ -19,7 +19,7 @@ tally (nothing is skipped for them).
 
 The neighbor search has three exact routes with one contract (the same
 index and distance arrays, bit for bit): a sorted-projection sweep, a
-blocked scan over all pairs and a k-d tree, tried in that order.  A
+scan over all pairs by bands of rows and a k-d tree, tried in that order.  A
 probe that reads only the cloud and the window finds the nearest
 neighbors of a few evenly spaced rows by brute force, with no tree.
 Where few points lie within those distances along the widest axis, as
@@ -84,9 +84,10 @@ _SWEEP_MARGIN = 1e-12
 #: overtakes the k-d tree at a contrast of about 0.26 for n = 3 000 and
 #: about 0.33 for n = 10 000 (its cost grows as n^2); this lies between.
 _SCAN_CONTRAST = 0.3
-#: Largest multiply-add count of one block product: OpenBLAS runs a product
-#: this small on one thread, and its extra threads cost more CPU than they
-#: save wall time on products this thin.
+#: Largest multiply-add count of one band product of the scan, unless a
+#: single row passes it ((m + 1) n > 2^18): OpenBLAS runs a product this
+#: small on one thread, and its extra threads cost more CPU than they save
+#: wall time on products this thin.
 _SCAN_PRODUCT = 1 << 18
 _FLOAT_MAX = np.finfo(np.float64).max
 #: Dimensions the sweep evaluates past the selected m, so the curve shows
@@ -300,18 +301,18 @@ def _sweep_nearest(
 def _dense_nearest(
     points: np.ndarray, w: int, c: np.ndarray, sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest neighbor of every point by a blocked scan of all pairs.
+    """Exact nearest neighbor of every point by a scan of all pairs, band by band.
 
     Same contract as `_bulk_nearest`.  In the `_centred` cloud (c, sq),
     row i ranks column j by sq_j - 2 c_i.c_j (its squared distance less
-    sq_i), computed for a block of rows and columns by one product of the
-    augmented rows [-2 c_i, 1] and [c_j, sq_j]; the temporal band is set
-    to +inf by index.  Every column within a proven rounding slack of the
-    row minimum stays a candidate, and `_settle` recomputes the
-    candidates' distances from the original points exactly as the k-d
-    tree does, so the winner and its distance match the tree's bit for
-    bit.  A block holds at most ``_SCAN_PRODUCT`` / (m + 1) entries
-    whatever n is.
+    sq_i), computed for a band of rows against every column by one
+    product of the augmented rows [-2 c_i, 1] and [c_j, sq_j]; the
+    temporal band is set to +inf by index.  Every column within a proven
+    rounding slack of the row minimum stays a candidate, and `_settle`
+    recomputes the candidates' distances from the original points exactly
+    as the k-d tree does, so the winner and its distance match the tree's
+    bit for bit.  A band holds as many rows as keep its product within
+    ``_SCAN_PRODUCT`` multiply-adds, and at least one.
     """
     n, m = points.shape
     w = min(w, n)  # a wider band excludes nothing more
@@ -331,29 +332,24 @@ def _dense_nearest(
     # underflow.
     unit = np.finfo(np.float64).eps / 2
     slack = 16 * (m + 4) * (unit * (sq + sq.max()) + np.finfo(np.float64).tiny)
-    size = max(1, _SCAN_PRODUCT // (m + 1))
-    cols = min(n, size)
-    rows = max(1, size // cols)
-    # the band of a block's rows: (row in block, column less block start)
+    rows = max(1, _SCAN_PRODUCT // ((m + 1) * n))
+    # the temporal band of a band's rows: (row in band, column less band start)
     band_row = np.repeat(np.arange(rows), 2 * w + 1)
     band_col = band_row + np.tile(np.arange(-w, w + 1), rows)
     found, count = [], 0
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        in_block = slice(0, (r1 - r0) * (2 * w + 1))
-        best = np.full(r1 - r0, np.inf)
-        for c0 in range(0, n, cols):
-            g = lhs[r0:r1] @ rhs[:, c0 : c0 + cols]
-            j = band_col[in_block] + (r0 - c0)
-            hit = (j >= 0) & (j < g.shape[1])
-            g[band_row[in_block][hit], j[hit]] = np.inf
-            np.minimum(best, g.min(axis=1), out=best)
-            # capped, so that a row with nothing admissible yet admits no band entry
-            cut = np.minimum(best + slack[r0:r1], _FLOAT_MAX)
-            ri, cj = np.divmod(np.flatnonzero(g <= cut[:, None]), g.shape[1])
-            found.append((ri + r0, cj + c0))
-            count += ri.size
-        if count * m >= size or r1 == n:  # settle at most about a block of coordinates
+        in_band = slice(0, (r1 - r0) * (2 * w + 1))
+        g = lhs[r0:r1] @ rhs
+        j = band_col[in_band] + r0
+        hit = (j >= 0) & (j < n)
+        g[band_row[in_band][hit], j[hit]] = np.inf
+        # capped, so that a row with nothing admissible admits no band entry
+        cut = np.minimum(g.min(axis=1) + slack[r0:r1], _FLOAT_MAX)
+        ri, cj = np.divmod(np.flatnonzero(g <= cut[:, None]), n)
+        found.append((ri + r0, cj))
+        count += ri.size
+        if count * m >= _SCAN_PRODUCT // (m + 1) or r1 == n:  # settle about a product's worth
             _settle(points, found, nn_idx, nn_dist)
             found, count = [], 0
     return nn_idx, nn_dist
@@ -452,11 +448,8 @@ def fnn_fraction(
     """
     EmbeddingParams(delay, m)  # checks m and delay before the data
     n = len(series)
-    span = stats(series).value_range  # a Python float overflows to inf silently
-    if span == 0.0:
+    if stats(series).value_range == 0.0:  # value_range refuses a range past float64
         raise DegenerateSeriesError("constant series has no neighbor structure")
-    if span == np.inf:
-        raise DegenerateSeriesError("the series range overflows float64; rescale the series")
     w = params.window(delay)
     limit = n - m * delay
     if limit < 2:

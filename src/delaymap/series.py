@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesLoadError
+from .errors import DegenerateSeriesError, SeriesLoadError
 
 __all__ = ["TimeSeries", "SeriesStats", "load_csv", "series_from_text", "stats"]
 
@@ -74,7 +74,10 @@ class SeriesStats:
 
     @property
     def value_range(self) -> float:
-        return self.x_max - self.x_min
+        span = self.x_max - self.x_min  # Python floats overflow to inf without a warning
+        if span == math.inf:
+            raise DegenerateSeriesError("the series range overflows float64; rescale the series")
+        return span
 
 
 def stats(series: TimeSeries) -> SeriesStats:

@@ -398,9 +398,12 @@ def test_dimension_errors_name_the_line(tmp_path, capsys):
 def test_entropy_box_edge_below_the_lattice_range_exits_1(tmp_path, capsys):
     cloud = tmp_path / "segment.csv"
     cloud.write_text("0.0\n0.5\n1.0\n")
-    code = main(["entropy", str(cloud), "--r-values", "1e-25"])
-    assert code == 1
-    assert "int64" in capsys.readouterr().err
+    for edge in ("1e-25", "1e-310"):  # the second overflows float64 as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["entropy", str(cloud), "--r-values", edge])
+        assert code == 1
+        assert "int64" in capsys.readouterr().err
     for edges in ("inf,0.1,0.01", "0.5,nan"):
         assert main(["entropy", str(cloud), "--r-values", edges]) == 1
         assert "box edge must be finite and positive" in capsys.readouterr().err
@@ -533,6 +536,40 @@ def test_pipeline_names_a_series_range_that_overflows_float64(tmp_path, capsys):
     assert err.startswith("error in stage 'dimension': the series range overflows float64")
     assert "theiler" not in err
     assert "RuntimeWarning" not in err and not caught
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ami"],
+        ["fnn", "--delay", "1"],
+        ["pipeline"],
+        ["pipeline", "--fixed-delay", "1"],
+        ["pipeline", "--fixed-delay", "1", "--fixed-dimension", "2"],
+        ["entropy"],
+    ],
+    ids=["ami", "fnn", "pipeline", "pipeline-fixed-delay", "pipeline-fixed-both", "embed-entropy"],
+)
+def test_a_series_range_that_overflows_float64_is_named_once(
+    tmp_path, capsys, monkeypatch, command
+):
+    values = np.where(henon(500).values > 0, 1e308, -1e308)
+    path = write_series(tmp_path / "huge.csv", values)
+    if command[0] == "entropy":  # embed huge.csv | entropy -
+        assert main(["embed", path, "--delay", "1", "--dimension", "2"]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+        argv = ["entropy", "-"]
+    else:
+        argv = [command[0], path, *command[1:]]
+        if command[0] == "pipeline":
+            argv += ["--output-dir", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error")
+    assert "the series range overflows float64" in err[0]
 
 
 def test_pipeline_rejects_a_bad_config_before_any_stage(tmp_path, capsys):

@@ -67,8 +67,13 @@ def test_partition_r_validation():
 
 def test_box_edge_that_overflows_the_lattice_is_rejected():
     segment = cloud_from_points(np.linspace(0.0, 1.0, 1000)[:, None])
+    for edge in (1e-25, 1e-310):  # the second overflows float64 as well
+        with pytest.raises(ValueError, match="int64"):
+            partition_boxes(segment, edge)
+    # a column whose spread overflows float64 has no lattice at any edge
+    wide = cloud_from_points(np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="int64"):
-        partition_boxes(segment, 1e-25)
+        partition_boxes(wide, 1.0)
     for edge in (math.nan, math.inf):
         with pytest.raises(ValueError, match="box edge must be finite and positive"):
             partition_boxes(segment, edge)
@@ -219,6 +224,11 @@ def test_a_ladder_whose_finest_edge_overflows_fails_like_one_partition():
         partition_boxes(segment, 1e-25)
     with pytest.raises(ValueError, match="int64") as ladder:
         entropy_scaling(segment, [0.5, 0.25, 1e-25])
+    assert str(ladder.value) == str(one.value)
+    with pytest.raises(ValueError, match="int64") as one:
+        partition_boxes(segment, 1e-310)
+    with pytest.raises(ValueError, match="int64") as ladder:
+        entropy_scaling(segment, [0.5, 1e-310])
     assert str(ladder.value) == str(one.value)
 
 

@@ -486,6 +486,21 @@ def test_dense_scan_is_bit_identical_to_the_tree_on_high_m_noise(offset):
         _assert_same_search(_embedded(noise, 1, m, n=1500 - m), 1)
 
 
+# a product cap of 64 multiply-adds puts every cloud but the smallest past it,
+# so the two tests above then run bands of a single row
+def test_single_row_scan_bands_are_bit_identical_to_the_tree_on_random_clouds(monkeypatch):
+    monkeypatch.setattr(neighbors, "_SCAN_PRODUCT", 64)
+    test_dense_scan_is_bit_identical_to_the_tree_on_random_clouds()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["no-offset", "offset-1e6"])
+def test_single_row_scan_bands_are_bit_identical_to_the_tree_on_high_m_noise(
+    offset, monkeypatch
+):
+    monkeypatch.setattr(neighbors, "_SCAN_PRODUCT", 64)
+    test_dense_scan_is_bit_identical_to_the_tree_on_high_m_noise(offset)
+
+
 def test_dense_scan_edge_cases():
     two = np.array([[0.0, 1.0], [3.0, 5.0]])
     idx, dist = _dense_nearest(two, 0, *_centred(two))
