@@ -17,6 +17,7 @@ import numpy as np
 
 from .embedding import PointCloud
 from .errors import ScalingFitError
+from .series import check_integer
 
 __all__ = [
     "BoxHistogram",
@@ -312,7 +313,7 @@ def default_r_ladder(
     """Geometric ladder of box edges from range/coarse_div down to range/fine_div."""
     if not 0 < value_range < math.inf:
         raise ValueError("value range must be finite and positive")
-    if steps < 2:
+    if check_integer("ladder_steps", steps) < 2:
         raise ValueError("ladder needs at least 2 steps")
     if not 0 < coarse_div < fine_div < math.inf:
         raise ValueError(f"need finite 0 < r_coarse_div < r_fine_div: {coarse_div}, {fine_div}")

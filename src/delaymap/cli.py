@@ -2,7 +2,8 @@
 
 Exit codes
     0  success
-    1  stage error (bad parameters, degenerate data, I/O trouble)
+    1  stage error (bad parameters, degenerate data, I/O trouble, a
+       request too large to allocate)
     2  command-line usage error (argparse)
     3  input series failed to load
     4  no local minimum in the MI curve (fallback delay was used)
@@ -430,10 +431,10 @@ def main(argv=None) -> int:
         return EXIT_NO_SCALING
     except BrokenPipeError:
         return EXIT_ERROR
-    except (DelayMapError, ValueError, OSError) as e:
+    except (DelayMapError, ValueError, OSError, MemoryError) as e:
         stage = getattr(e, "stage", None)
         where = f" in stage '{stage}'" if stage else ""
-        print(f"error{where}: {e}", file=sys.stderr)
+        print(f"error{where}: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import TimeSeries
+from .series import TimeSeries, check_integer
 
 __all__ = ["EmbeddingParams", "PointCloud", "delay_embed", "cloud_from_points"]
 
@@ -32,9 +32,9 @@ class EmbeddingParams:
     dimension: int
 
     def __post_init__(self):
-        if self.delay < 1:
+        if check_integer("delay", self.delay) < 1:
             raise ValueError(f"delay must be >= 1, got {self.delay}")
-        if self.dimension < 1:
+        if check_integer("dimension", self.dimension) < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
     @property

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import inspect
 import math
-import operator
 
 import numpy as np
 
 from .errors import DivergenceError
-from .series import TimeSeries
+from .series import TimeSeries, check_integer
 
 __all__ = [
     "GENERATORS", "SETTINGS", "SettingError", "generate",
@@ -136,7 +135,7 @@ def sine(
     accumulated rounding.
     """
     _check(n, amplitude=amplitude, phase=phase)
-    if _integer("period_samples", period_samples) < 2:
+    if check_integer("period_samples", period_samples) < 2:
         raise ValueError(f"period must be >= 2 samples, got {period_samples}")
     i = np.arange(n) % period_samples
     return TimeSeries(
@@ -177,7 +176,7 @@ def white_noise(
     _check(n, mean=mean, stddev=stddev)
     if not stddev > 0:
         raise ValueError(f"stddev must be positive, got {stddev}")
-    seed = _integer("seed", seed)  # a numpy integer as an int, so the mask cannot overflow
+    seed = check_integer("seed", seed)  # a numpy integer as an int, so the mask cannot overflow
     pairs = (n + 1) // 2
     ks = np.uint64(seed & _MASK64) + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN
     z = ks
@@ -232,20 +231,12 @@ def generate(kind: str, n: int, **settings) -> TimeSeries:
     return GENERATORS[kind](n, **settings)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int: numpy integers pass, a float such as 2.5 is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check(n: int, transient_skip: int = 0, **floats) -> None:
     """The checks every generator runs first: n >= 2, transient_skip >= 0,
     and each float setting (or each element of a tuple one) finite."""
-    if _integer("n", n) < 2:
+    if check_integer("n", n) < 2:
         raise ValueError("need n >= 2")
-    if _integer("transient_skip", transient_skip) < 0:
+    if check_integer("transient_skip", transient_skip) < 0:
         raise ValueError("transient_skip must be >= 0")
     for name, value in floats.items():
         if not np.isfinite(value).all():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError
-from .series import TimeSeries, stats
+from .series import TimeSeries, check_integer, stats
 
 __all__ = [
     "JointHistogram",
@@ -124,7 +124,7 @@ def joint_histogram(series: TimeSeries, lag: int, bins: int = DEFAULT_BINS) -> J
         JointHistogram with total == N - lag.
     """
     n = len(series)
-    if not 1 <= lag <= n - 2:
+    if not 1 <= check_integer("lag", lag) <= n - 2:
         raise ValueError(f"lag {lag} outside [1, {n - 2}] for series of length {n}")
     return _lagged_histogram(_binned(series, bins), lag, bins)
 
@@ -150,7 +150,7 @@ def _binned(series: TimeSeries, bins: int) -> np.ndarray:
 
 
 def check_bins(bins: int) -> None:
-    if bins < 2:
+    if check_integer("bins", bins) < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
 
 
@@ -229,9 +229,9 @@ def ami_curve(series: TimeSeries, t_max: int | None = None, bins: int = DEFAULT_
 
 
 def check_t_max(t_max: int, n: int | None = None) -> None:
-    """Raise ValueError unless 1 <= t_max, and t_max <= n - 2 once the
-    series length n is known."""
-    if t_max < 1 or (n is not None and t_max > n - 2):
+    """Raise ValueError unless t_max is an integer, 1 <= t_max, and
+    t_max <= n - 2 once the series length n is known."""
+    if check_integer("t_max", t_max) < 1 or (n is not None and t_max > n - 2):
         raise ValueError(f"t_max {t_max} outside [1, {'N - 2' if n is None else n - 2}]")
 
 

@@ -12,10 +12,11 @@ m dimensions only because the attractor was still folded onto itself.
 The embedding dimension is the smallest m whose false fraction is
 negligible.
 
-Zero-distance neighbors follow the continuity limit of the ratio: a pair
-at distance 0 is false when the appended coordinates differ (R_i = inf)
-and a true neighbor when they coincide; such points stay in the tested
-tally (nothing is skipped for them).
+Zero-distance neighbors follow the continuity limit of the ratio, which is
+the IEEE value of the quotient: a pair at distance 0 is false when the
+appended coordinates differ (R_i = inf) and a true neighbor when they
+coincide (R_i = 0/0 = nan, which passes no tolerance); such points stay in
+the tested tally (nothing is skipped for them).  R_tol must be finite.
 
 The neighbor search has three exact routes with one contract (the same
 index and distance arrays, bit for bit): a sorted-projection sweep, a
@@ -49,7 +50,7 @@ import numpy as np
 
 from .embedding import EmbeddingParams
 from .errors import DegenerateSeriesError, NoAdmissibleNeighborError
-from .series import TimeSeries, stats
+from .series import TimeSeries, check_integer, stats
 
 __all__ = [
     "FnnParams",
@@ -110,13 +111,14 @@ class FnnParams:
     m_max: int = 20
 
     def __post_init__(self):
-        if not self.r_tol > 0:
-            raise ValueError(f"r_tol must be > 0, got {self.r_tol}")
+        if not 0 < self.r_tol < np.inf:
+            raise ValueError(f"r_tol must be finite and > 0, got {self.r_tol}")
         if not 0.0 <= self.fnn_threshold <= 1.0:
             raise ValueError(f"fnn_threshold must lie in [0,1], got {self.fnn_threshold}")
-        if self.theiler_window is not None and self.theiler_window < 0:
+        w = self.theiler_window
+        if w is not None and check_integer("theiler_window", w) < 0:
             raise ValueError("theiler_window must be >= 0")
-        if self.m_max < 1:
+        if check_integer("m_max", self.m_max) < 1:
             raise ValueError("m_max must be >= 1")
 
     def window(self, delay: int) -> int:
@@ -179,7 +181,7 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point of a cloud of at least 2
     points, by the first route that serves it (see the module docstring).
 
-    `fnn_fraction` scales the cloud so that its widest axis spans [0.5, 1):
+    `_neighbour_gaps` scales the cloud so that its widest axis spans [0.5, 1):
     the scan's sums then neither over- nor underflow.  A cloud with no
     spread is answered in closed form.  Otherwise `_sweep_nearest` runs when
     `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud
@@ -428,6 +430,39 @@ def _bulk_nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     return nn_idx, nn_dist
 
 
+def _neighbour_gaps(
+    values: np.ndarray, delay: int, m: int, w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, gap) for each testable point with an admissible neighbour: the
+    distance to that neighbour and |x_{t+mT} - x_{nn+mT}|, both in the unit
+    2^-e of the scaled cloud (module docstring)."""
+    n = len(values)
+    limit = n - m * delay
+    if limit < 2:
+        raise ValueError(
+            f"no testable points: need t + {m}*{delay} < {n} for at least 2 points"
+        )
+    # the cloud scaled by 2^-e (module docstring).  A column with no spread adds 0
+    # to every distance; written as 0, it cannot overflow where columns share no sample
+    cols = [values[k * delay : k * delay + limit] for k in range(m)]
+    spans = [col.max() - col.min() for col in cols]
+    e = int(np.frexp(max(spans))[1])
+    points = np.empty((limit, m))
+    for k, (col, col_span) in enumerate(zip(cols, spans)):
+        np.ldexp(col if col_span else 0.0, -e, out=points[:, k])
+    nn_idx, nn_dist = _nearest(points, w)
+
+    sel = np.flatnonzero(nn_idx >= 0)
+    if sel.size == 0:
+        raise NoAdmissibleNeighborError(
+            f"theiler window w={w} excludes every neighbor pair at m={m}"
+        )
+    # taken unscaled, so an outlier past the cloud cannot give inf - inf
+    gap = np.abs(values[sel + m * delay] - values[nn_idx[sel] + m * delay])
+    with np.errstate(over="ignore"):  # a gap past float64 is inf: false, as it should be
+        return nn_dist[sel], np.ldexp(gap, -e)
+
+
 def fnn_fraction(
     series: TimeSeries, delay: int, m: int, params: FnnParams = FnnParams()
 ) -> FnnEntry:
@@ -441,49 +476,21 @@ def fnn_fraction(
         FnnEntry(m, false_count / tested, tested, skipped).
 
     Raises:
-        ValueError: m or delay is below 1 (from EmbeddingParams), checked
-            before the data.
+        ValueError: m or delay is not an integer >= 1 (from EmbeddingParams),
+            checked before the data.
         DegenerateSeriesError: the series is constant, or its range
             overflows float64, so no distance can be computed.
     """
     EmbeddingParams(delay, m)  # checks m and delay before the data
-    n = len(series)
     if stats(series).value_range == 0.0:  # value_range refuses a range past float64
         raise DegenerateSeriesError("constant series has no neighbor structure")
-    w = params.window(delay)
-    limit = n - m * delay
-    if limit < 2:
-        raise ValueError(
-            f"no testable points: need t + {m}*{delay} < {n} for at least 2 points"
-        )
-    vals = series.values
-    # the cloud scaled by 2^-e (module docstring).  A column with no spread adds 0
-    # to every distance; written as 0, it cannot overflow where columns share no sample
-    cols = [vals[k * delay : k * delay + limit] for k in range(m)]
-    spans = [col.max() - col.min() for col in cols]
-    e = int(np.frexp(max(spans))[1])
-    points = np.empty((limit, m))
-    for k, (col, col_span) in enumerate(zip(cols, spans)):
-        np.ldexp(col if col_span else 0.0, -e, out=points[:, k])
-    nn_idx, nn_dist = _nearest(points, w)
-
-    sel = np.flatnonzero(nn_idx >= 0)
-    if sel.size == 0:
-        raise NoAdmissibleNeighborError(
-            f"theiler window w={w} excludes every neighbor pair at m={m}"
-        )
-    nbr = nn_idx[sel]
-    dist = nn_dist[sel]
-    # taken unscaled, so an outlier past the cloud cannot give inf - inf
-    numer = np.abs(vals[sel + m * delay] - vals[nbr + m * delay])
-    false_mask = np.empty(sel.size, dtype=bool)
-    zero = dist == 0.0
-    false_mask[zero] = numer[zero] > 0.0
-    with np.errstate(over="ignore"):  # a ratio past float64 is inf: false, as it should be
-        false_mask[~zero] = (np.ldexp(numer[~zero], -e) / dist[~zero]) > params.r_tol
-    tested = int(sel.size)
-    skipped = n - (m - 1) * delay - tested
-    return FnnEntry(m, int(np.count_nonzero(false_mask)) / tested, tested, skipped)
+    dist, gap = _neighbour_gaps(series.values, delay, m, params.window(delay))
+    # at distance 0 the quotient is inf (false) or nan (not false): the limit rule
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        false = gap / dist > params.r_tol
+    tested = int(dist.size)
+    skipped = len(series) - (m - 1) * delay - tested
+    return FnnEntry(m, int(np.count_nonzero(false)) / tested, tested, skipped)
 
 
 def embedding_dimension(

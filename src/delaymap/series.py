@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 import os
 import warnings
 from contextlib import contextmanager, nullcontext
@@ -342,9 +343,17 @@ def _resolve_column(first_row, column, skip_header, name):
     return int(column), 1 if skip_header else 0
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int: numpy integers pass, a float such as 2.5 is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_column(column: int | str) -> None:
-    """Raise ValueError if ``column`` is a negative index."""
-    if not isinstance(column, str) and int(column) < 0:
+    """Raise ValueError if ``column`` is a negative or non-integer index."""
+    if not isinstance(column, str) and check_integer("column", column) < 0:
         raise ValueError("column index must be nonnegative")
 
 

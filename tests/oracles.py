@@ -11,6 +11,8 @@ import csv
 import math
 import os
 
+import numpy as np
+
 from delaymap.errors import SeriesLoadError
 
 
@@ -117,6 +119,58 @@ def box_scan(points, r: float) -> dict[tuple[int, ...], int]:
         key = tuple(math.floor((p[k] - anchor[k]) / r) for k in range(dims))
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def reference_chain(values, t_max: int, m_max: int) -> dict:
+    """The default pipeline (16 bins, R_tol = 10, threshold 0.01, w = T,
+    the 16-step ladder) recounted from the slow paths above.
+
+    Returns delay, fallback, dimension (None when no m up to m_max
+    crosses), status, entropy_bits at range/256 and d_i: the slope of every
+    window whose r^2 lies within 1e-12 of the best, the best by the tie
+    rule first (rounding may order such windows either way).
+    """
+    values = [float(v) for v in values]
+    n = len(values)
+    bits = [mi_recount(values, lag, 16) for lag in range(1, t_max + 1)]
+    delay, fallback = bits.index(min(bits)) + 1, True
+    for k in range(1, len(bits) - 1):
+        if bits[k - 1] > bits[k] <= bits[k + 1]:
+            delay, fallback = k + 1, False
+            break
+    out = {"delay": delay, "fallback": fallback, "dimension": None,
+           "status": "no_dimension_found", "entropy_bits": None, "d_i": None}
+    for m in range(1, m_max + 1):
+        if fnn_recount(values, delay, m, 10.0, delay)[0] <= 0.01:
+            break
+    else:
+        return out
+    pts = [[values[i + k * delay] for k in range(m)] for i in range(n - (m - 1) * delay)]
+    span = max(values) - min(values)
+
+    def entropy(r: float) -> float:
+        return -sum(c / len(pts) * math.log2(c / len(pts)) for c in box_scan(pts, r).values())
+
+    # the ladder is a definition, not a rule under test
+    ladder = [float(r) for r in np.geomspace(span / 4.0, span / 512.0, 16)]
+    xs = [-math.log2(r) for r in ladder]
+    ys = [entropy(r) for r in ladder]
+    fits = []  # ((r^2, width, finest reach), slope) of every run of >= 3 scales
+    for width in range(3, len(ladder) + 1):
+        for s in range(len(ladder) - width + 1):
+            x, y = xs[s : s + width], ys[s : s + width]
+            xm, ym = sum(x) / width, sum(y) / width
+            sxy = sum((a - xm) * (b - ym) for a, b in zip(x, y))
+            slope = sxy / sum((a - xm) ** 2 for a in x)
+            ss_tot = sum((b - ym) ** 2 for b in y)
+            ss_res = sum((b - ym - slope * (a - xm)) ** 2 for a, b in zip(x, y))
+            r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot  # a flat window scores 0
+            fits.append(((r2, width, -ladder[s + width - 1]), slope))
+    fits.sort(reverse=True)
+    best = fits[0][0][0]
+    out.update(dimension=m, status="ok", entropy_bits=entropy(span / 256.0),
+               d_i=[slope for (r2, _, _), slope in fits if r2 >= best - 1e-12])
+    return out
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -189,6 +189,32 @@ def test_fnn_not_found_exits_5(tmp_path, capsys):
     assert json.loads(captured.err)["found"] is False
 
 
+def test_fnn_refuses_an_infinite_r_tol(tmp_path, capsys):
+    # the ratio test at R_tol = inf would call every pair true, zero distances included
+    path = write_series(tmp_path / "henon.csv", henon(500).values)
+    assert main(["fnn", path, "--delay", "1", "--r-tol", "inf"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error") and "r_tol" in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, where", [("ami", "error: "), ("pipeline", "error in stage 'delay': ")]
+)
+def test_a_request_too_large_to_allocate_exits_1_with_one_error_line(
+    command, where, tmp_path, capsys
+):
+    # a 10^8 x 10^8 joint histogram (71 PiB) fails before anything is allocated
+    path = write_series(tmp_path / "henon.csv", henon(500).values)
+    argv = [command, path, "--j-bins", "100000000"]
+    if command == "pipeline":
+        argv += ["--output-dir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(where) and "allocate" in err[0]
+
+
 def test_embed_writes_the_window_rows(tmp_path, capsys):
     path = write_series(tmp_path / "s.csv", [1.0, 2.0, 3.0])
     code = main(["embed", str(path), "--delay", "1", "--dimension", "2"])

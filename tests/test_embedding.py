@@ -76,7 +76,12 @@ def test_params_validation():
         EmbeddingParams(0, 2)
     with pytest.raises(ValueError):
         EmbeddingParams(1, 0)
+    with pytest.raises(ValueError, match="delay must be an integer"):
+        EmbeddingParams(1.5, 2)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        EmbeddingParams(1, 2.0)
     assert EmbeddingParams(3, 4).window_span == 10
+    assert EmbeddingParams(np.int64(3), np.int32(4)).window_span == 10
 
 
 def test_points_read_only():

@@ -286,21 +286,45 @@ def test_zero_distance_exact_accounting():
 
 
 def test_recount_agreement_on_random_series():
+    # integer records tie many pairs at distance 0, some with equal and some
+    # with different appended values: the quotient reads nan and inf there
     rng = np.random.default_rng(31)
-    for _ in range(12):
-        n = int(rng.integers(12, 80))
-        vals = rng.normal(size=n)
-        delay = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        if n - m * delay < 2:
-            continue
-        w = int(rng.integers(0, 3))
-        frac, tested, skipped = fnn_recount(vals, delay, m, 10.0, w)
-        e = fnn_fraction(
-            TimeSeries(vals), delay, m, FnnParams(theiler_window=w)
-        )
-        assert e.fraction == frac
-        assert (e.tested_points, e.skipped_points) == (tested, skipped)
+    ties = np.zeros(2, dtype=int)  # zero-distance pairs with equal, different gaps
+    for draw in (lambda n: rng.normal(size=n), lambda n: rng.integers(0, 5, n).astype(float)):
+        for _ in range(12):
+            n = int(rng.integers(12, 80))
+            vals = draw(n)
+            delay = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 4))
+            if n - m * delay < 2:
+                continue
+            w = int(rng.integers(0, 3))
+            frac, tested, skipped = fnn_recount(vals, delay, m, 10.0, w)
+            e = fnn_fraction(
+                TimeSeries(vals), delay, m, FnnParams(theiler_window=w)
+            )
+            assert e.fraction == frac
+            assert (e.tested_points, e.skipped_points) == (tested, skipped)
+            dist, gap = neighbors._neighbour_gaps(vals, delay, m, w)
+            ties += np.bincount(gap[dist == 0] > 0, minlength=2)
+    assert ties.min() >= 10
+
+
+@pytest.mark.parametrize(
+    "levels, n, m, route",
+    [(1000, 2000, 1, "sweep"), (5, 400, 2, "tree"), (3, 2000, 10, "scan"), (1, 300, 1, None)],
+    ids=["sweep", "tree", "scan", "no-spread"],
+)
+def test_tied_clouds_give_positive_zero_distances_on_every_route(levels, n, m, route, routes):
+    # a -0.0 distance would turn a false pair's inf quotient into -inf, which
+    # passes the tolerance; the record holds -0.0 wherever it is 0
+    trees, taken = routes
+    vals = -np.random.default_rng(5).integers(0, levels, n).astype(float)
+    vals[-1] = 1.0  # the no-spread record changes only in its appended coordinate
+    dist, _ = neighbors._neighbour_gaps(vals, 1, m, 1)
+    assert taken == ([route] if route else [])
+    assert np.count_nonzero(dist == 0) >= 10
+    assert not np.signbit(dist).any()
 
 
 def test_huge_tolerance_kills_all_false_flags():
@@ -444,6 +468,13 @@ def test_embedding_dimension_validates_budget():
 def test_params_and_curve_validation():
     with pytest.raises(ValueError):
         FnnParams(r_tol=0.0)
+    for r_tol in (np.inf, np.nan):  # an infinite tolerance would call the inf quotient true
+        with pytest.raises(ValueError, match="r_tol must be finite"):
+            FnnParams(r_tol=r_tol)
+    for key in ("theiler_window", "m_max"):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            FnnParams(**{key: 2.5})
+        assert getattr(FnnParams(**{key: np.int64(3)}), key) == 3
     with pytest.raises(ValueError):
         FnnParams(fnn_threshold=1.5)
     with pytest.raises(ValueError):

@@ -134,6 +134,17 @@ def test_lag_and_bin_validation():
         joint_histogram(s, 3, 2)  # lag must leave 2 pairs: max is n-2
     with pytest.raises(ValueError):
         joint_histogram(s, 1, 1)
+    # a lag scan and a grid need whole numbers; numpy integers are whole numbers
+    h = henon(500)
+    with pytest.raises(ValueError, match="t_max must be an integer"):
+        ami_curve(h, t_max=2.5)
+    with pytest.raises(ValueError, match="bins must be an integer"):
+        ami_curve(h, bins=4.5)
+    with pytest.raises(ValueError, match="bins must be an integer"):
+        joint_histogram(s, 1, 2.0)
+    with pytest.raises(ValueError, match="lag must be an integer"):
+        mutual_information(h, 1.5)
+    assert ami_curve(h, t_max=np.int64(3), bins=np.int32(8)).lags.tolist() == [1, 2, 3]
 
 
 def test_ami_curve_shape_and_default_bound():

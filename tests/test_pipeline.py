@@ -263,6 +263,13 @@ def test_config_validation():
                 {"r_coarse_div": float("nan")}):
         with pytest.raises(ValueError):
             PipelineConfig(input_path="x", **bad)
+    # an integer key refuses a fraction when the config is built, not in a stage
+    for key in ("column", "j_bins", "t_max", "m_max", "theiler_window", "ladder_steps",
+                "fixed_delay", "fixed_dimension"):
+        with pytest.raises(ValueError, match=f"{key.split('_')[-1]} must be an integer"):
+            PipelineConfig(input_path="x", **{key: 2.5})
+    with pytest.raises(ValueError, match="r_tol must be finite"):
+        PipelineConfig(input_path="x", r_tol=float("inf"))
 
 
 @pytest.mark.parametrize("bad", [{"t_max": 0}, {"t_max": -3}, {"column": -1}])
