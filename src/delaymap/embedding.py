@@ -100,9 +100,11 @@ def cloud_from_points(points) -> PointCloud:
 
 
 def check_axes(cloud: PointCloud, axes: Sequence[int]) -> None:
-    """Raise ValueError unless ``axes`` are 2 or 3 valid axes of the cloud."""
+    """Raise ValueError unless ``axes`` are 2 or 3 distinct valid axes of the cloud."""
     if len(axes) not in (2, 3):
         raise ValueError(f"projection takes 2 or 3 axes, got {len(axes)}")
+    if len(set(axes)) < len(axes):
+        raise ValueError(f"axes must be distinct, got {','.join(map(str, axes))}")
     for a in axes:
         if not 0 <= a < cloud.n:
             raise ValueError(f"axis {a} out of range for {cloud.n}-D cloud")

@@ -18,7 +18,9 @@ class SeriesLoadError(DelayMapError):
 class DegenerateSeriesError(DelayMapError):
     """The series is constant (zero range), so histogram binning and
     neighbor statistics are undefined; or its range (max - min) overflows
-    float64, so no bin width, neighbor distance or box edge can be computed."""
+    float64, so no bin width, neighbor distance or box edge can be computed;
+    or two values a false-neighbor test reads differ by less than 2^-511 of
+    the cloud's scale, so their squared difference is not a normal float."""
 
 
 class NoAdmissibleNeighborError(DelayMapError):

@@ -50,7 +50,6 @@ class JointHistogram:
     """
 
     counts: np.ndarray  # (j, j) int64, rows index x_t, columns x_{t+T}
-    total: int
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -58,45 +57,38 @@ class JointHistogram:
             raise ValueError(f"counts shape {c.shape} is not square")
         if (c < 0).any():
             raise ValueError("negative counts")
-        if int(c.sum()) != self.total:
-            raise ValueError("counts do not sum to total")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
-    def transposed(self) -> "JointHistogram":
-        """The histogram with the roles of the two axes swapped."""
-        return JointHistogram(self.counts.T, self.total)
+    @property
+    def total(self) -> int:
+        """Number of pairs counted, N - T for a lag-T histogram."""
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True, eq=False)
 class MICurve:
-    """Mutual information in bits sampled over lags 1..T_max."""
+    """Mutual information in bits over lags 1..T_max: I(T) is ``bits[T - 1]``."""
 
-    lags: np.ndarray   # int64, strictly increasing from 1
     bits: np.ndarray   # float64, finite, >= 0
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=np.int64)
-        bits = np.asarray(self.bits, dtype=np.float64)
-        if lags.ndim != 1 or lags.shape != bits.shape:
-            raise ValueError("lags and bits must be matching 1-D arrays")
-        if lags.size == 0:
-            raise ValueError("empty curve")
-        if lags[0] != 1 or (np.diff(lags) <= 0).any():
-            raise ValueError("lags must increase strictly from 1")
-        if (~np.isfinite(bits)).any() or (bits < 0).any():
-            raise ValueError("mutual information entries must be finite and >= 0")
-        for name, arr in (("lags", lags), ("bits", bits)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        bits = np.array(self.bits, dtype=np.float64)
+        if bits.ndim != 1 or bits.size == 0 or (~np.isfinite(bits)).any() or (bits < 0).any():
+            raise ValueError("mutual information must be a non-empty 1-D array, finite and >= 0")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    @property
+    def lags(self) -> np.ndarray:
+        return np.arange(1, len(self) + 1)
 
     def __len__(self) -> int:
-        return int(self.lags.size)
+        return int(self.bits.size)
 
     def entries(self) -> list[tuple[int, float]]:
-        return [(int(t), float(i)) for t, i in zip(self.lags, self.bits)]
+        return [(t, float(i)) for t, i in enumerate(self.bits, start=1)]
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ def _lagged_histogram(idx: np.ndarray, lag: int, bins: int) -> JointHistogram:
     # bin indices are per sample, so binning the whole series once serves
     # every lag
     counts = np.bincount(idx[:-lag] * bins + idx[lag:], minlength=bins * bins)
-    return JointHistogram(counts.reshape(bins, bins), len(idx) - lag)
+    return JointHistogram(counts.reshape(bins, bins))
 
 
 def histogram_mutual_information(hist: JointHistogram) -> float:
@@ -169,12 +161,13 @@ def histogram_mutual_information(hist: JointHistogram) -> float:
     histogram and its transpose is identical bit for bit.
     Tiny negative totals from rounding (within 1e-12) clamp to 0.
     """
-    p = hist.counts / hist.total
+    total = hist.total
+    p = hist.counts / total
     # marginals from the integer counts: integer sums are exact in any
     # order, so a histogram and its transpose get bit-identical marginals
     # (float-summing p row-wise vs column-wise rounds differently)
-    ph = hist.counts.sum(axis=1) / hist.total
-    pk = hist.counts.sum(axis=0) / hist.total
+    ph = hist.counts.sum(axis=1) / total
+    pk = hist.counts.sum(axis=0) / total
     denom = ph[:, None] * pk[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log2(p / denom), 0.0)
@@ -220,12 +213,8 @@ def ami_curve(series: TimeSeries, t_max: int | None = None, bins: int = DEFAULT_
         t_max = default_max_lag(n)
     check_t_max(t_max, n)
     idx = _binned(series, bins)
-    lags = np.arange(1, t_max + 1, dtype=np.int64)
-    bits = np.array([
-        histogram_mutual_information(_lagged_histogram(idx, int(t), bins))
-        for t in lags
-    ])
-    return MICurve(lags, bits)
+    return MICurve([histogram_mutual_information(_lagged_histogram(idx, t, bins))
+                    for t in range(1, t_max + 1)])
 
 
 def check_t_max(t_max: int, n: int | None = None) -> None:
@@ -247,5 +236,5 @@ def first_local_minimum(curve: MICurve) -> DelaySelection:
     b = curve.bits
     for k in range(1, len(curve) - 1):
         if b[k - 1] > b[k] and b[k] <= b[k + 1]:
-            return DelaySelection(int(curve.lags[k]), False)
-    return DelaySelection(int(curve.lags[int(np.argmin(b))]), True)
+            return DelaySelection(k + 1, False)
+    return DelaySelection(int(np.argmin(b)) + 1, True)

@@ -39,7 +39,9 @@ distance, measures that.  Every other cloud goes to the tree.
 The search runs on the record scaled by 2^-e, where 2^e bounds the span
 of the cloud's widest axis: a power-of-two scale is exact, so a record
 in any unit gives the same distances, ties, ratios and routes, and the
-scan's sums neither over- nor underflow.
+scan's sums neither over- nor underflow.  That last holds because a record
+whose values the test reads differ anywhere by less than 2^-511 in that
+unit, where a squared difference is subnormal or 0, is refused.
 """
 
 from __future__ import annotations
@@ -181,8 +183,9 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of every point of a cloud of at least 2
     points, by the first route that serves it (see the module docstring).
 
-    `_neighbour_gaps` scales the cloud so that its widest axis spans [0.5, 1):
-    the scan's sums then neither over- nor underflow.  A cloud with no
+    `_neighbour_gaps` scales the cloud so that its widest axis spans [0.5, 1)
+    and refuses it when two coordinates differ by less than 2^-511: the
+    scan's sums then neither over- nor underflow.  A cloud with no
     spread is answered in closed form.  Otherwise `_sweep_nearest` runs when
     `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud
     it skips or gives up takes
@@ -447,6 +450,17 @@ def _neighbour_gaps(
     cols = [values[k * delay : k * delay + limit] for k in range(m)]
     spans = [col.max() - col.min() for col in cols]
     e = int(np.frexp(max(spans))[1])
+    # the sweep's stop rule and the scan's slack need every nonzero squared term
+    # normal in the 2^-e unit, so no two values the test reads may differ by less
+    # than 2^-511 there: first bound that on the whole record, then column by column
+    floor = np.ldexp(1.0, e - 511)
+    if _least_step(values) < floor:
+        for col in (*cols, values[m * delay :]):
+            if (step := _least_step(col)) < floor:
+                raise DegenerateSeriesError(
+                    f"values {step!r} apart in a cloud spanning {float(max(spans))!r} at m={m}: "
+                    f"under 2^-511 of its scale 2^{e}, too fine for the neighbour search"
+                )
     points = np.empty((limit, m))
     for k, (col, col_span) in enumerate(zip(cols, spans)):
         np.ldexp(col if col_span else 0.0, -e, out=points[:, k])
@@ -461,6 +475,13 @@ def _neighbour_gaps(
     gap = np.abs(values[sel + m * delay] - values[nn_idx[sel] + m * delay])
     with np.errstate(over="ignore"):  # a gap past float64 is inf: false, as it should be
         return nn_dist[sel], np.ldexp(gap, -e)
+
+
+def _least_step(x: np.ndarray) -> float:
+    """The smallest nonzero difference between two values of x (inf if none)."""
+    steps = np.diff(np.sort(x))
+    steps = steps[steps > 0]
+    return float(steps.min()) if steps.size else np.inf
 
 
 def fnn_fraction(
@@ -479,7 +500,9 @@ def fnn_fraction(
         ValueError: m or delay is not an integer >= 1 (from EmbeddingParams),
             checked before the data.
         DegenerateSeriesError: the series is constant, or its range
-            overflows float64, so no distance can be computed.
+            overflows float64, so no distance can be computed; or two values
+            the test at m reads differ by less than 2^-511 of the cloud's
+            scale, too fine a difference to resolve.
     """
     EmbeddingParams(delay, m)  # checks m and delay before the data
     if stats(series).value_range == 0.0:  # value_range refuses a range past float64

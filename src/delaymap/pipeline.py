@@ -202,7 +202,7 @@ def _fmt(v) -> str:
 
 
 def write_mi_csv(out: TextIO, curve: MICurve, j_bins: int, n_samples: int) -> None:
-    out.write(f"# delaymap ami: j_bins={j_bins} t_max={curve.lags[-1]} n_samples={n_samples}\n")
+    out.write(f"# delaymap ami: j_bins={j_bins} t_max={len(curve)} n_samples={n_samples}\n")
     out.write("lag,bits\n")
     for lag, bits in curve.entries():
         out.write(f"{lag},{_fmt(bits)}\n")

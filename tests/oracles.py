@@ -147,15 +147,26 @@ def reference_chain(values, t_max: int, m_max: int) -> dict:
         return out
     pts = [[values[i + k * delay] for k in range(m)] for i in range(n - (m - 1) * delay)]
     span = max(values) - min(values)
-
-    def entropy(r: float) -> float:
-        return -sum(c / len(pts) * math.log2(c / len(pts)) for c in box_scan(pts, r).values())
-
     # the ladder is a definition, not a rule under test
     ladder = [float(r) for r in np.geomspace(span / 4.0, span / 512.0, 16)]
+    fits = fit_windows(ladder, [box_entropy(pts, r) for r in ladder])
+    best = fits[0][0][0]
+    out.update(dimension=m, status="ok", entropy_bits=box_entropy(pts, span / 256.0),
+               d_i=[slope for (r2, _, _), slope in fits if r2 >= best - 1e-12])
+    return out
+
+
+def box_entropy(pts, r: float) -> float:
+    """S(r) in bits of the `box_scan` occupancy."""
+    return -sum(c / len(pts) * math.log2(c / len(pts)) for c in box_scan(pts, r).values())
+
+
+def fit_windows(ladder, ys) -> list:
+    """((r^2, width, finest reach), slope) of every run of >= 3 scales of
+    a coarse-to-fine ladder, best first by the tie rule: highest r^2, then
+    the wider window, then the one reaching finer scales."""
     xs = [-math.log2(r) for r in ladder]
-    ys = [entropy(r) for r in ladder]
-    fits = []  # ((r^2, width, finest reach), slope) of every run of >= 3 scales
+    fits = []
     for width in range(3, len(ladder) + 1):
         for s in range(len(ladder) - width + 1):
             x, y = xs[s : s + width], ys[s : s + width]
@@ -167,10 +178,7 @@ def reference_chain(values, t_max: int, m_max: int) -> dict:
             r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot  # a flat window scores 0
             fits.append(((r2, width, -ladder[s + width - 1]), slope))
     fits.sort(reverse=True)
-    best = fits[0][0][0]
-    out.update(dimension=m, status="ok", entropy_bits=entropy(span / 256.0),
-               d_i=[slope for (r2, _, _), slope in fits if r2 >= best - 1e-12])
-    return out
+    return fits
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

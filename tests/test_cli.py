@@ -225,19 +225,28 @@ def test_embed_writes_the_window_rows(tmp_path, capsys):
 
 def test_embed_axes_validation_exits_2(tmp_path):
     path = write_series(tmp_path / "s.csv", np.arange(30.0))
-    for axes in ("0,5", "0", "0,1,1,0"):  # out of range; too few; too many
+    # out of range; too few; too many; repeated
+    for axes in ("0,5", "0", "0,1,1,0", "1,1", "0,2,0"):
         with pytest.raises(SystemExit) as exc:
-            main(["embed", str(path), "--delay", "1", "--dimension", "2",
+            main(["embed", str(path), "--delay", "1", "--dimension", "3",
                   "--axes", axes])
         assert exc.value.code == 2
 
 
-def test_embed_allows_a_repeated_axis(tmp_path, capsys):
-    path = write_series(tmp_path / "s.csv", [1.0, 2.0, 3.0])
-    code = main(["embed", str(path), "--delay", "1", "--dimension", "2", "--axes", "1,1"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.out.splitlines()[1:] == ["2.0,2.0", "3.0,3.0"]
+def test_fnn_and_pipeline_refuse_a_record_too_fine_for_its_unit(tmp_path, capsys):
+    # an outlier of 1e170 leaves the map's differences under 2^-511 of the
+    # cloud's scale: one error line, exit 1, where fractions near 1 were printed
+    values = henon(3000).values.copy()
+    values[1500] = 1e170
+    path = write_series(tmp_path / "h.csv", values)
+    out = str(tmp_path / "out")
+    for argv, prefix in (
+        (["fnn", path, "--delay", "1"], "error: "),
+        (["pipeline", path, "--output-dir", out], "error in stage 'dimension': "),
+    ):
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(prefix + "values ") and "under 2^-511 of its scale 2^565" in line
 
 
 def test_entropy_bad_r_values_exits_2(tmp_path, capsys):

@@ -388,6 +388,38 @@ def test_fraction_scale_invariance():
     )
 
 
+def _with_outlier(n, value):
+    x = henon(n).values.copy()
+    x[n // 2] = value
+    return x
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # one outlier sets the unit 2^-e, and the map's differences fall under
+        # 2^-511 in it, where their squares are subnormal or 0
+        _with_outlier(400, 1e170),
+        # 5e-324 apart against a span of 1 000: 2^-1084 in the unit
+        np.array([0, 5e-324, 0, 0, 1000, 3, 7, 0]),
+        # the same difference only in the appended coordinate
+        np.array([0, 0, 1000, 3, 7, 0, 5e-324]),
+    ],
+    ids=["outlier", "subnormal", "subnormal-appended"],
+)
+def test_a_difference_too_fine_for_the_clouds_unit_is_refused(values):
+    for m in (1, 2, 3):
+        with pytest.raises(DegenerateSeriesError, match=r"under 2\^-511 of its scale"):
+            fnn_fraction(TimeSeries(values), 1, m, FnnParams(theiler_window=1))
+
+
+def test_an_outlier_the_unit_still_resolves_matches_the_recount():
+    values = _with_outlier(400, 1e30)
+    for m in (1, 2, 3):
+        frac, tested, skipped = fnn_recount(values, 1, m, 10.0, 1)
+        assert fnn_fraction(TimeSeries(values), 1, m) == FnnEntry(m, frac, tested, skipped)
+
+
 @pytest.mark.parametrize(
     "ts, delay",
     [(henon(3000), 1), (lorenz(3000), 18), (white_noise(3000, 7), 1)],

@@ -7,11 +7,14 @@ the pipeline wires its stages as the rules say.  A change to one stage's
 rule changes the reference with it.
 """
 
-import numpy as np
+import math
 
-from delaymap import henon, logistic, sine
+import numpy as np
+import pytest
+
+from delaymap import EntropyScaling, henon, information_dimension, logistic, sine
 from delaymap.pipeline import PipelineConfig, run_pipeline
-from oracles import reference_chain
+from oracles import box_entropy, fit_windows, reference_chain
 
 
 def _records():
@@ -52,3 +55,45 @@ def test_pipeline_matches_the_reference_chain(tmp_path):
     # the records reach a minimum and fall back, find a dimension and find none
     assert {f for f, _ in outcomes} == {False, True}
     assert {s for _, s in outcomes} == {"ok", "no_dimension_found"}
+
+
+def test_every_entropy_of_a_longer_record_matches_the_box_scan(tmp_path):
+    # at 2 000 points S(r_ref) sits below log2 N, so the reference resolution
+    # range/256 shows: range/255 reads about 0.02 bits more
+    values = henon(2000).values
+    path = tmp_path / "h.csv"
+    path.write_text("".join(f"{float(v)!r}\n" for v in values))
+    out = tmp_path / "out"
+    report = run_pipeline(PipelineConfig(
+        input_path=str(path), fixed_delay=1, fixed_dimension=2, output_dir=str(out)
+    ))
+    pts = [[float(a), float(b)] for a, b in zip(values[:-1], values[1:])]
+    span = float(values.max() - values.min())
+    assert report.entropy_bits < math.log2(len(pts))
+    assert abs(report.entropy_bits - box_entropy(pts, span / 256.0)) <= 1e-9
+    rows = np.loadtxt(out / "entropy_scaling.csv", delimiter=",", skiprows=2, ndmin=2)
+    ladder = np.geomspace(span / 4.0, span / 512.0, 16)
+    assert np.array_equal(rows[:, 0], ladder)
+    for r, s in zip(rows[:, 0], rows[:, 2]):
+        assert abs(s - box_entropy(pts, float(r))) <= 1e-9, r
+
+
+@pytest.mark.parametrize(
+    "bits, window, d_i",
+    [
+        # every window fits exactly: the widest wins
+        (lambda x: x, (1, 7), 1.0),
+        # two width-4 windows fit exactly, at slopes 1 and 2: the finer wins
+        (lambda x: x if x <= 4 else 4 + 2 * (x - 4), (4, 7), 2.0),
+    ],
+    ids=["widest", "finest"],
+)
+def test_exact_fits_tie_to_the_wider_then_the_finer_window(bits, window, d_i):
+    ladder = [2.0 ** -x for x in range(1, 8)]
+    ys = [float(bits(x)) for x in range(1, 8)]
+    est = information_dimension(EntropyScaling(tuple(zip(ladder, ys))))
+    coarse, fine = window
+    assert est.fit_range == (2.0 ** -fine, 2.0 ** -coarse)
+    assert (est.points_used, est.d_i, est.r_squared) == (fine - coarse + 1, d_i, 1.0)
+    (r2, width, reach), slope = fit_windows(ladder, ys)[0]
+    assert (r2, width, -reach, slope) == (1.0, est.points_used, est.fit_range[0], d_i)
