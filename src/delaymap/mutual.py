@@ -57,6 +57,8 @@ class JointHistogram:
             raise ValueError(f"counts shape {c.shape} is not square")
         if (c < 0).any():
             raise ValueError("negative counts")
+        if not c.any():
+            raise ValueError("no pairs: every count is 0")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)

@@ -38,10 +38,10 @@ distance, measures that.  Every other cloud goes to the tree.
 
 The search runs on the record scaled by 2^-e, where 2^e bounds the span
 of the cloud's widest axis: a power-of-two scale is exact, so a record
-in any unit gives the same distances, ties, ratios and routes, and the
-scan's sums neither over- nor underflow.  That last holds because a record
+in any unit gives the same distances, ties, ratios and routes.  A record
 whose values the test reads differ anywhere by less than 2^-511 in that
-unit, where a squared difference is subnormal or 0, is refused.
+unit, where a squared difference is subnormal or 0, is refused; the scan's
+sums then neither over- nor underflow, and the sweep's stop rule holds.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .embedding import EmbeddingParams
 from .errors import DegenerateSeriesError, NoAdmissibleNeighborError
@@ -184,14 +185,13 @@ def _nearest(points: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     points, by the first route that serves it (see the module docstring).
 
     `_neighbour_gaps` scales the cloud so that its widest axis spans [0.5, 1)
-    and refuses it when two coordinates differ by less than 2^-511: the
-    scan's sums then neither over- nor underflow.  A cloud with no
-    spread is answered in closed form.  Otherwise `_sweep_nearest` runs when
-    `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud
-    it skips or gives up takes
-    the scan (`_dense_nearest`, handed the same c and sq) when it has at
-    most ``_SCAN_PAIRS`` pairs or its contrast reaches ``_SCAN_CONTRAST``,
-    and the tree otherwise.
+    and refuses it when two coordinates differ by less than 2^-511, which
+    the scan's sums and the sweep's stop rule need.  A cloud with no spread
+    is answered in closed form.  Otherwise `_sweep_nearest` runs when
+    `_probe` predicts at most ``_SWEEP_PREDICTED`` pairs per row; a cloud it
+    skips or gives up takes the scan (`_dense_nearest`, handed the same c
+    and sq) when it has at most ``_SCAN_PAIRS`` pairs or its contrast
+    reaches ``_SCAN_CONTRAST``, and the tree otherwise.
     """
     n = len(points)
     spans = [col.max() - col.min() for col in points.T]
@@ -261,25 +261,24 @@ def _sweep_nearest(
     key = points[:, axis]
     order = np.argsort(key, kind="stable")
     key, sp = key[order], points[order]
-    best, reach = np.full(n, np.inf), np.full(n, np.inf)
+    best = np.full(n, np.inf)
     who = np.full(n, -1)  # the best's original index; -1 never ties an inf best
     up, down = np.arange(n - 1), np.arange(1, n)  # positions with that side open
     in_up = np.ones(n, dtype=bool)  # membership of up, so a pair is examined once
     # Stop rule: a side closes once the key gap g to its next candidate
-    # exceeds reach = max(best * margin, 2^-511).  g is computed from the
-    # same two coordinates as the axis's term of `_tree_distance`, so it is
-    # that term's |difference| exactly, and farther positions have gaps of
-    # at least g (rounding is monotone).  Past 2^-511 the square is normal;
-    # with u the unit roundoff, the rounded sum of non-negative squares
-    # loses at most a factor (1 - u)^(m + 6) and the root (1 - u), so each
-    # candidate past the gap lies at least g (1 - (m/2 + 5) u) away.  As
-    # margin (1 - (m/2 + 5) u) > 1, that is strictly farther than the row's
-    # best, which only shrinks: it can neither win nor tie.  One that could
-    # tie (g <= best * margin) is examined, so an equal distance at a
-    # smaller index is never missed.  margin is 1 + 1e-12 up to m of about
-    # 4 500 and grows with m past that.
+    # exceeds best * margin.  g is computed from the same two coordinates as
+    # the axis's term of `_tree_distance`, so it is that term's |difference|
+    # exactly, and farther positions have gaps of at least g (rounding is
+    # monotone).  `_neighbour_gaps` refuses a cloud with a nonzero difference
+    # under 2^-511 in one column, so g's square is 0 or normal; with u the unit
+    # roundoff, the rounded sum of non-negative squares loses at most a factor
+    # (1 - u)^(m + 6) and the root (1 - u), so each candidate past the gap lies
+    # at least g (1 - (m/2 + 5) u) away.  As margin (1 - (m/2 + 5) u) > 1, that
+    # is strictly farther than the row's best (0 included), which only shrinks:
+    # it can neither win nor tie.  One that could tie (g <= best * margin) is
+    # examined, so an equal distance at a smaller index is never missed.
+    # margin is 1 + 1e-12 up to m of about 4 500 and grows with m past that.
     margin = 1.0 + max(_SWEEP_MARGIN, (m + 10) * np.finfo(np.float64).eps)
-    floor = np.sqrt(np.finfo(np.float64).tiny)
     for k in range(1, n):
         lo = down - k
         p = np.concatenate((up, lo[~in_up[lo]]))
@@ -292,13 +291,14 @@ def _sweep_nearest(
         dist = _tree_distance(sp[p], sp[p + k])
         for row, other in ((p, order[p + k]), (p + k, order[p])):
             win = (dist < best[row]) | ((dist == best[row]) & (other < who[row]))
-            row, dist_w = row[win], dist[win]
-            best[row], who[row] = dist_w, other[win]
-            reach[row] = np.maximum(dist_w * margin, floor)
-        keep = (up + k + 1 < n) & (key[np.minimum(up + k + 1, n - 1)] - key[up] <= reach[up])
+            row = row[win]
+            best[row], who[row] = dist[win], other[win]
+        gap = key[np.minimum(up + k + 1, n - 1)] - key[up]
+        keep = (up + k + 1 < n) & (gap <= best[up] * margin)
         in_up[up[~keep]] = False
         up = up[keep]
-        down = down[(down > k) & (key[down] - key[np.maximum(down - k - 1, 0)] <= reach[down])]
+        gap = key[down] - key[np.maximum(down - k - 1, 0)]
+        down = down[(down > k) & (gap <= best[down] * margin)]
     back = np.argsort(order)  # each row's sorted position
     return who[back], best[back]
 
@@ -445,25 +445,24 @@ def _neighbour_gaps(
         raise ValueError(
             f"no testable points: need t + {m}*{delay} < {n} for at least 2 points"
         )
-    # the cloud scaled by 2^-e (module docstring).  A column with no spread adds 0
-    # to every distance; written as 0, it cannot overflow where columns share no sample
-    cols = [values[k * delay : k * delay + limit] for k in range(m)]
-    spans = [col.max() - col.min() for col in cols]
-    e = int(np.frexp(max(spans))[1])
+    # row t is (x_t, x_{t+T}, ..., x_{t+mT}): the cloud's m columns, then the appended one
+    view = sliding_window_view(values, m * delay + 1)[:, ::delay]
+    spans = np.array([col.max() - col.min() for col in view[:, :m].T])
+    e = int(np.frexp(spans.max())[1])
     # the sweep's stop rule and the scan's slack need every nonzero squared term
     # normal in the 2^-e unit, so no two values the test reads may differ by less
     # than 2^-511 there: first bound that on the whole record, then column by column
     floor = np.ldexp(1.0, e - 511)
     if _least_step(values) < floor:
-        for col in (*cols, values[m * delay :]):
+        for col in view.T:
             if (step := _least_step(col)) < floor:
                 raise DegenerateSeriesError(
-                    f"values {step!r} apart in a cloud spanning {float(max(spans))!r} at m={m}: "
+                    f"values {step!r} apart in a cloud spanning {float(spans.max())!r} at m={m}: "
                     f"under 2^-511 of its scale 2^{e}, too fine for the neighbour search"
                 )
-    points = np.empty((limit, m))
-    for k, (col, col_span) in enumerate(zip(cols, spans)):
-        np.ldexp(col if col_span else 0.0, -e, out=points[:, k])
+    # the cloud scaled by 2^-e (module docstring), row-major.  A column with no spread
+    # adds 0 to every distance; written as 0, it cannot overflow where columns share no sample
+    points = np.ldexp(np.where(spans > 0, view[:, :m], 0.0), -e, order="C")
     nn_idx, nn_dist = _nearest(points, w)
 
     sel = np.flatnonzero(nn_idx >= 0)
@@ -472,7 +471,7 @@ def _neighbour_gaps(
             f"theiler window w={w} excludes every neighbor pair at m={m}"
         )
     # taken unscaled, so an outlier past the cloud cannot give inf - inf
-    gap = np.abs(values[sel + m * delay] - values[nn_idx[sel] + m * delay])
+    gap = np.abs(view[sel, m] - view[nn_idx[sel], m])
     with np.errstate(over="ignore"):  # a gap past float64 is inf: false, as it should be
         return nn_dist[sel], np.ldexp(gap, -e)
 

@@ -420,6 +420,43 @@ def test_an_outlier_the_unit_still_resolves_matches_the_recount():
         assert fnn_fraction(TimeSeries(values), 1, m) == FnnEntry(m, frac, tested, skipped)
 
 
+def test_a_fine_pair_no_column_holds_is_answered():
+    # 1e-160 apart, under the record-wide floor 2^-509 ~ 5.97e-154, but
+    # x[0] lies only in the first column and x[399] only in the appended one
+    values = henon(400).values.copy()
+    values[0], values[399] = 1e-160, 2e-160
+    params = FnnParams(theiler_window=1)
+    entries = [fnn_fraction(TimeSeries(values), 1, m, params) for m in (1, 2, 3)]
+    for m, entry in zip((1, 2, 3), entries):
+        assert entry == FnnEntry(m, *fnn_recount(values, 1, m, 10.0, 1))
+    assert [round(e.fraction, 5) for e in entries] == [0.62657, 0.00503, 0.00756]
+
+
+def test_a_difference_of_exactly_2_to_the_minus_511_is_answered_on_every_route(monkeypatch):
+    # the windows through samples 100 and 700 agree everywhere else: one pair of
+    # points per m lies exactly 2^-511 apart in the unit 2^-e, the least
+    # difference the refusal lets through
+    values = henon(1000).values.copy()
+    e = int(np.frexp(np.ptp(values))[1])
+    values[696:706] = values[96:106]
+    values[100], values[700] = 0.0, np.ldexp(1.0, e - 511)
+    clouds = []
+    nearest = neighbors._nearest
+
+    def captured(points, w):
+        clouds.append(points)
+        return nearest(points, w)
+
+    monkeypatch.setattr(neighbors, "_nearest", captured)
+    for m in (1, 2, 3):
+        entry = fnn_fraction(TimeSeries(values), 1, m)
+        assert entry == FnnEntry(m, *fnn_recount(values, 1, m, 10.0, 1))
+        pts = clouds[-1]
+        _, dist = _assert_sweep_exact(pts, 1)
+        assert dist[dist > 0].min() == np.ldexp(1.0, -511)
+        _assert_same_search(pts, 1)
+
+
 @pytest.mark.parametrize(
     "ts, delay",
     [(henon(3000), 1), (lorenz(3000), 18), (white_noise(3000, 7), 1)],

@@ -189,6 +189,15 @@ def test_first_local_minimum_on_fewer_than_three_entries_falls_back():
     assert (sel.lag, sel.fallback_used) == (1, True)
 
 
+def test_histogram_validation():
+    with pytest.raises(ValueError, match="not square"):
+        JointHistogram(np.ones((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="negative counts"):
+        JointHistogram(np.array([[1, -1], [0, 0]]))
+    with pytest.raises(ValueError, match="no pairs"):
+        JointHistogram(np.zeros((2, 2), dtype=int))
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         MICurve(np.array([1.0, -0.5]))
